@@ -32,7 +32,7 @@ I and Fw are closed-form time integrals: the gain's double time integral
 factorizes over (t1, t2); the loss integrands depend only on tau = t1 - t2,
 so their triangle integral collapses to Int_0^t (t - tau) e^{iB tau} dtau
 exactly.  A thermal bath splits each frequency phase into Bose-weighted
-(1 + n, n) branches.  The derivation is worked out in docs/reduction.md.
+(1 + n, n) branches.  The summary above is the derivation's only write-up.
 
 Initial data are treated as zero outside their box (matching the transform
 module): evaluation points whose position argument would leave the box are
@@ -158,9 +158,10 @@ def strip_gain_integral(b1, b2, t, s_lo, s_hi):
 class QuadratureSpec:
     """Controls for the numerical momentum-transfer integral.
 
-    n_t is used by the certification oracle's time quadrature; the fast path
-    integrates time analytically and reports it as exact.  k_max = 0 means
-    "use the model's UV cutoff".
+    n_t is validated and recorded but read by no computation: the fast path
+    integrates time analytically and reports it as exact, and the
+    certification oracle sizes its time quadrature with its own n_lambda and
+    n_inner.  k_max = 0 means "use the model's UV cutoff".
     """
 
     n_t: int = 16

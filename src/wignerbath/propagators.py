@@ -18,6 +18,7 @@ thermal state adds Bose-Einstein weighted positive/negative frequency parts.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,9 +104,21 @@ def sys_dyson(a, b, params):
     return complex(free_kernel(dt, _delta_xsq(a, b, params.d), params.m_s, params.d))
 
 
+@lru_cache(maxsize=None)
+def legendre_rule(n):
+    """Gauss-Legendre nodes/weights of order n on [-1, 1], built once.
+
+    The arrays are shared between callers, so they are read-only.
+    """
+    base_x, base_w = np.polynomial.legendre.leggauss(n)
+    base_x.flags.writeable = False
+    base_w.flags.writeable = False
+    return base_x, base_w
+
+
 def gauss_panels(lo, hi, n_per_panel, n_panels):
     """Composite Gauss-Legendre nodes/weights on [lo, hi]."""
-    base_x, base_w = np.polynomial.legendre.leggauss(n_per_panel)
+    base_x, base_w = legendre_rule(n_per_panel)
     edges = np.linspace(lo, hi, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])

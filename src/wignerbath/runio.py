@@ -1,11 +1,12 @@
 """Run orchestration and persistence: CSV grids, JSON sidecars, gnuplot
 triplets, and the run manifest.
 
-Every data file is written atomically (temp file + rename) and contains no
-timestamps, so identical configurations produce byte-identical files; the
-manifest inventories each file with its SHA-256 checksum and is written
-last.  The process exit status is nonzero iff any diagnostic exceeded its
-tolerance or a quadrature flagged failure.
+Every data file is written atomically (a uniquely named temp file in the
+target directory + rename, so two runs into one directory never share a
+temp file) and contains no timestamps, so identical configurations produce
+byte-identical files; the manifest inventories each file with its SHA-256
+checksum and is written last.  The process exit status is nonzero iff any
+diagnostic exceeded its tolerance or a quadrature flagged failure.
 """
 
 import hashlib
@@ -30,11 +31,21 @@ def _render(value):
 
 
 def _atomic_write(path, data):
-    tmp = path + ".tmp"
-    mode = "wb" if isinstance(data, bytes) else "w"
-    with open(tmp, mode) as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    """Write through a uniquely named temp file beside `path`, then rename.
+
+    Exclusive creation ("x") gives the temp file the permissions a plain
+    open() would, so the final file's mode follows the umask as before; the
+    temp file is removed if the write or the rename fails.
+    """
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "xb" if isinstance(data, bytes) else "x")
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _sha256(path):

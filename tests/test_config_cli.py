@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wignerbath.config import parse_config, ConfigError
-from wignerbath.runio import run, write_wigner_csv, emit_plot_data
+from wignerbath.runio import run, write_wigner_csv, emit_plot_data, _atomic_write
 from wignerbath.cli import main
 
 
@@ -141,3 +141,25 @@ def test_cli_exit_codes(tmp_path):
     cfg_path.write_text(MINIMAL.format(out=tmp_path / "out3"))
     assert main(["observables", "--config", str(cfg_path),
                  "--override", "state.sigma=1.5"]) == 0
+
+
+def test_atomic_write_leaves_no_temp_files(tmp_path):
+    from concurrent.futures import ThreadPoolExecutor
+    path = str(tmp_path / "data.json")
+    _atomic_write(path, "first payload\n")
+    _atomic_write(path, b"second\x00payload")
+    assert (tmp_path / "data.json").read_bytes() == b"second\x00payload"
+    with pytest.raises(TypeError):
+        _atomic_write(path, 123)     # a failed write keeps the old file
+    assert (tmp_path / "data.json").read_bytes() == b"second\x00payload"
+    # two writers into one path: each rename lands a whole payload
+    payloads = ["a" * 100000, "b" * 100000]
+    with ThreadPoolExecutor(2) as pool:
+        list(pool.map(lambda text: [_atomic_write(path, text) for _ in range(20)],
+                      payloads))
+    assert (tmp_path / "data.json").read_text() in payloads
+    assert os.listdir(tmp_path) == ["data.json"]
+    # permissions are those of a plainly created file
+    (tmp_path / "plain").write_text("x")
+    assert (os.stat(path).st_mode & 0o777
+            == os.stat(tmp_path / "plain").st_mode & 0o777)

@@ -6,6 +6,7 @@ from wignerbath import (InitialStateSpec, ModelParams, SpacetimePoint,
                         QuadratureSpec, make_initial_wigner, sys_feynman,
                         sys_dyson, DensityMatrix, wigner_from_density)
 from wignerbath.states import balanced_grid, density_closed, wigner_closed, psi_closed
+from wignerbath import oracle
 from wignerbath.oracle import (oracle_wigner_transform, oracle_diagram,
                                epsilon_extrapolated_propagator, ProbeSet,
                                default_probes, packet_coeffs, certify_instance)
@@ -149,3 +150,27 @@ def test_certify_record_structure(gentle_instance):
     assert record["terms"]["gain"]["passed"]
     entry = record["terms"]["gain"]["probes"][0]
     assert {"probe", "fast", "oracle", "rel_diff", "status"} <= set(entry)
+
+
+@pytest.mark.parametrize("term", ("gain", "loss_left", "loss_right"))
+def test_oracle_batching_does_not_change_values(term, monkeypatch):
+    """One tau node per chunk and all nodes in one chunk agree to rounding.
+
+    A cat (cross-component sums) in a thermal bath (both Bose branches).
+    """
+    spec = InitialStateSpec(kind="cat", x0=(0.0,), p0=(0.3,), sigma=1.0,
+                            separation=3.0, phase=0.7)
+    params = ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=6.0,
+                         t_env=1.5)
+    grid = balanced_grid(spec, 32)
+    w0 = make_initial_wigner(spec, grid, boundary_tol=1e-4)
+    t = 0.4
+    probes = ProbeSet(points=default_probes(grid, params, t).points[:3],
+                      grid=grid, params=params, t=t)
+    vals = []
+    for budget in (1, 1 << 62):
+        monkeypatch.setattr(oracle, "_BATCH_BYTES", budget)
+        v, _ = oracle_diagram(term, w0, params, t, probes, n_lambda=12,
+                              n_inner=12)
+        vals.append(v)
+    assert np.max(np.abs(vals[0] - vals[1])) <= 1e-14 * np.max(np.abs(vals[1]))

@@ -5,7 +5,7 @@ from scipy.special import k0
 
 from wignerbath import (ModelParams, SpacetimePoint, sys_feynman, sys_dyson,
                         env_wightman, env_feynman, env_dyson)
-from wignerbath.propagators import wightman_amp, gauss_panels
+from wignerbath.propagators import wightman_amp, gauss_panels, legendre_rule
 
 
 @pytest.fixture(scope="module")
@@ -182,3 +182,36 @@ def test_invalid_params():
         ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=0.5)
     with pytest.raises(ValueError):
         ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, t_env=-1.0)
+
+
+def _fresh_panels(lo, hi, n, panels):
+    """Composite Gauss-Legendre rule from a freshly computed leggauss(n)."""
+    base_x, base_w = np.polynomial.legendre.leggauss(n)
+    edges = np.linspace(lo, hi, panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    return ((mid[:, None] + half[:, None] * base_x[None, :]).ravel(),
+            (half[:, None] * base_w[None, :]).ravel())
+
+
+@pytest.mark.parametrize("n", (8, 12, 18, 20, 24, 28, 32, 40, 48))
+def test_gauss_panels_cached_rule_is_bit_identical(n):
+    for lo, hi, panels in ((0.0, 1.0, 1), (-6.0, 6.0, 7), (0.3, 2.9, 3)):
+        for _ in range(2):  # the second call reads the cached rule
+            nodes, weights = gauss_panels(lo, hi, n, panels)
+            ref_nodes, ref_weights = _fresh_panels(lo, hi, n, panels)
+            assert np.array_equal(nodes, ref_nodes)
+            assert np.array_equal(weights, ref_weights)
+
+
+def test_gauss_panels_cache_cannot_be_corrupted():
+    nodes, weights = gauss_panels(-1.0, 1.0, 24, 1)
+    nodes[:] = 0.0
+    weights[:] = 0.0
+    again_nodes, again_weights = gauss_panels(-1.0, 1.0, 24, 1)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(24)
+    assert np.array_equal(again_nodes, ref_nodes)
+    assert np.array_equal(again_weights, ref_weights)
+    for base in legendre_rule(24):
+        with pytest.raises(ValueError, match="read-only"):
+            base[0] = 0.0
