@@ -22,7 +22,8 @@ reported together, not one at a time.
     state.sigma  packet width
     state.separation, state.phase   cat parameters
     times        output times, strictly increasing, >= 0
-    quad.n_t, quad.n_k, quad.k_max, quad.rel_tol, quad.scheme
+    quad.n_t, quad.n_k, quad.k_max, quad.rel_tol
+    quad.scheme  gauss-legendre (the only scheme)
     out.dir      output directory
     out.plot_data  true | false  (gnuplot triplet files)
     workers      worker threads for the diagram evaluations
@@ -121,7 +122,7 @@ def parse_config(text, overrides=None):
             errors.append(f"line {lineno}: expected 'key = value', got {stripped!r}")
             continue
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KNOWN_KEYS and key not in ("dx", "x_min"):
+        if key not in _KNOWN_KEYS:
             near = difflib.get_close_matches(key, _KNOWN_KEYS, n=1)
             hint = f" (did you mean {near[0]!r}?)" if near else ""
             errors.append(f"line {lineno}: unknown key {key!r}{hint}")
@@ -129,7 +130,7 @@ def parse_config(text, overrides=None):
         raw[key] = value
         explicit.add(key)
     for key, value in (overrides or {}).items():
-        if key not in _KNOWN_KEYS and key not in ("dx", "x_min"):
+        if key not in _KNOWN_KEYS:
             near = difflib.get_close_matches(key, _KNOWN_KEYS, n=1)
             hint = f" (did you mean {near[0]!r}?)" if near else ""
             errors.append(f"override: unknown key {key!r}{hint}")
@@ -174,6 +175,9 @@ def parse_config(text, overrides=None):
     if backend not in ("auto", "grid", "closed"):
         errors.append(f"backend: {backend!r} is not auto/grid/closed")
     scheme = raw["quad.scheme"]
+    if scheme != "gauss-legendre":
+        errors.append(f"quad.scheme: {scheme!r} is not supported; "
+                      "the only scheme is 'gauss-legendre'")
 
     model = initial = grid = quad = None
     if d is not None and x0 is not None and len(x0) == 1 and d == 3:
@@ -192,7 +196,7 @@ def parse_config(text, overrides=None):
                                        sigma=sigma, separation=sep, phase=phase)
         except ValueError as exc:
             errors.append(f"state: {exc}")
-    if None not in (n_t, n_k, k_max, rel_tol):
+    if None not in (n_t, n_k, k_max, rel_tol) and scheme == "gauss-legendre":
         try:
             quad = QuadratureSpec(n_t=n_t, n_k=n_k, k_max=k_max,
                                   rel_tol=rel_tol, scheme=scheme)

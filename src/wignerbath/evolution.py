@@ -34,16 +34,33 @@ so their triangle integral collapses to Int_0^t (t - tau) e^{iB tau} dtau
 exactly.  A thermal bath splits each frequency phase into Bose-weighted
 (1 + n, n) branches.  The summary above is the derivation's only write-up.
 
+Separable kernels.  Every phase above is a(p, k) + c(u_j, k) with
+c = -+u_j.k/2m, so on the full time window e^{i(a + c)t} needs exponentials
+of the (N_p, K) and (M, K) factors only, combined by
+expm1(x + y) = expm1(x) expm1(y) + expm1(x) + expm1(y): I = E0(beta1)
+E0(beta2) with E0(b) = expm1(i b t)/(i b), and Fw = t^2 (expm1(w) - w)/w^2
+with w = iBt.  Where |b t| < 1 the combination cancels; there E0 is taken
+from b directly and Fw from its series in w.  The transcendental cost per
+k chunk is thus O((M + N_p) K) instead of O(M N_p K); gq_j(p + k) likewise
+uses e^{i s.(p+k)} = e^{i s.p} e^{i s.k}.
+
+loss_right is the complex conjugate of loss_left (B~ = -B once u_j -> -u_j,
+and the coefficients of a real W0 satisfy c_{-j,-l} = conj(c_{jl})), so
+`evolve` computes loss_left only and conjugates it; the diagram evaluator
+keeps the independent sign path for `diagram_loss_right` and certification.
+
 Initial data are treated as zero outside their box (matching the transform
 module): evaluation points whose position argument would leave the box are
 removed by clipping the analytic time integrals to the admissible
 sub-window, and the momentum argument p + k is masked to the box directly.
 
-Only the k integral is numerical: composite Gauss-Legendre (or trapezoid)
-panels whose count scales with the analytic phase range, so the oscillatory
-UV tail is always resolved; n_k sets the nodes per panel.
+Only the k integral is numerical: composite Gauss-Legendre panels whose
+count scales with the analytic phase range, so the oscillatory UV tail is
+always resolved; n_k sets the nodes per panel.  Each term's error estimate
+is its change under a rerun at half the panels (at least one fewer).
 """
 
+import math
 from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
 
@@ -58,6 +75,7 @@ SMALL_PHASE = 1e-5        # |gamma|*t below which degenerate series are used
 COEF_TRUNC = 1e-19        # closed-form mode coefficient truncation
 PHASE_PER_PANEL = 24.0    # analytic phase (radians) covered by one k panel
 _CHUNK_BYTES = 1 << 28    # ~256 MB cap for the masked time-integral tensors
+_TRACE_BYTES = 1 << 24    # cap for one trace chunk's (L, nodes, p nodes) phases
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +168,67 @@ def strip_gain_integral(b1, b2, t, s_lo, s_hi):
     return seg1 + seg2
 
 
+# 1/(n+2)! for n = 0..16: (expm1(w) - w)/w^2 to rounding for |w| <= 1
+_LOSS_SERIES = 1.0 / np.array([math.factorial(n + 2) for n in range(17)])
+
+
+def _e0_direct(b, t):
+    """E0(b) = Int_0^t e^{i b s} ds = expm1(i b t)/(i b) for real b (t at b = 0)."""
+    b = np.asarray(b, dtype=float)
+    out = np.full(b.shape, complex(t))
+    nz = b != 0.0
+    out[nz] = np.expm1(1j * t * b[nz]) / (1j * b[nz])
+    return out
+
+
+def _loss_series(w):
+    """(expm1(w) - w)/w^2 = sum_n w^n/(n+2)!, for |w| <= 1."""
+    acc = np.full(np.shape(w), _LOSS_SERIES[-1], dtype=complex)
+    for c in _LOSS_SERIES[-2::-1]:
+        acc = acc * w + c
+    return acc
+
+
+def _expm1_sum(ea, ec):
+    """expm1(x + y) from ea = expm1(x) and ec = expm1(y)."""
+    out = np.asarray(ea * ec)
+    out += ea
+    out += ec
+    return out
+
+
+def _gain_split(ea, ec, b1, b2, t):
+    """E0(b1) E0(b2) for b1 = a + c and b2 = -a + c (all real).
+
+    ea = expm1(i a t) and ec = expm1(i c t) are taken on the separate
+    factors, so the exponentials cost O(size(a) + size(c)); expm1(-i a t) is
+    conj(ea).  Where |b t| < 1 the combined numerator cancels, so there E0 is
+    taken from b directly.
+    """
+    num = _expm1_sum(ea, ec)
+    num *= _expm1_sum(np.conj(ea), ec)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        num /= -(b1 * b2)
+    near = (np.abs(b1) * t < 1.0) | (np.abs(b2) * t < 1.0)
+    num[near] = _e0_direct(b1[near], t) * _e0_direct(b2[near], t)
+    return num
+
+
+def _loss_split(ea, ec, b, t):
+    """Int_0^t (t - tau) e^{i b tau} dtau = t^2 (expm1(w) - w)/w^2, w = i b t,
+    for b = a + c (real), from ea = expm1(i a t) and ec = expm1(i c t).
+
+    Where |w| < 1 the numerator cancels, so there the series in w is used.
+    """
+    num = _expm1_sum(ea, ec)
+    num.imag -= t * b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        num /= -(b * b)
+    near = np.abs(b) * t < 1.0
+    num[near] = t * t * _loss_series(1j * t * b[near])
+    return num
+
+
 # ---------------------------------------------------------------------------
 # quadrature spec
 # ---------------------------------------------------------------------------
@@ -179,8 +258,9 @@ class QuadratureSpec:
             raise ValueError("k_max must be >= 0 (0 selects the UV cutoff)")
         if self.rel_tol <= 0.0:
             raise ValueError("rel_tol must be positive")
-        if self.scheme not in ("gauss-legendre", "trapezoid"):
-            raise ValueError("scheme must be 'gauss-legendre' or 'trapezoid'")
+        if self.scheme != "gauss-legendre":
+            raise ValueError(f"scheme {self.scheme!r} is not supported; "
+                             "the only scheme is 'gauss-legendre'")
 
     def resolved_k_max(self, params):
         k = self.k_max if self.k_max > 0.0 else params.lambda_uv
@@ -309,20 +389,19 @@ def build_modes(w0, backend="auto", x_reach=None):
 # ---------------------------------------------------------------------------
 
 def _k_nodes(params, quad, t, u_max, p_scale, panel_factor=1.0):
-    """Tensor nodes/weights on the d-cube with the |k| <= k_max ball mask."""
+    """Tensor nodes/weights on the d-cube with the |k| <= k_max ball mask.
+
+    The panel count and its floor both scale with panel_factor: the full run
+    takes at least 2 panels and the half-panel run at least 1, so the two
+    runs of the error estimate never share a panel count.
+    """
     k_max = quad.resolved_k_max(params)
     m = params.m_s
     phase = (2.0 * k_max * t * (p_scale + 0.5 * u_max) / m
              + k_max**2 * t / m + 2.0 * k_max * t + 2.0 * np.pi)
-    panels = max(2, int(np.ceil(panel_factor * phase / PHASE_PER_PANEL)))
-    if quad.scheme == "gauss-legendre":
-        nodes1, w1 = gauss_panels(-k_max, k_max, quad.n_k, panels)
-    else:
-        n_tot = panels * quad.n_k
-        nodes1 = np.linspace(-k_max, k_max, n_tot)
-        w1 = np.full(n_tot, 2.0 * k_max / (n_tot - 1))
-        w1[0] *= 0.5
-        w1[-1] *= 0.5
+    panels = int(max(np.ceil(2.0 * panel_factor),
+                     np.ceil(panel_factor * phase / PHASE_PER_PANEL)))
+    nodes1, w1 = gauss_panels(-k_max, k_max, quad.n_k, panels)
     d = params.d
     if d == 1:
         return nodes1[:, None], w1, panels
@@ -374,24 +453,29 @@ def _axis_window(center, slope, lo, hi, dom_hi):
     return np.maximum(w_lo, 0.0), np.minimum(w_hi, dom_hi)
 
 
-def _eval_gq(modes, q_points):
-    """gq[j, n] = sum_l coef[j,l] e^{i s_l.q_n}, zero outside the q box."""
-    phases = np.exp(1j * (modes.s @ q_points.T))
-    gq = modes.coef @ phases
-    inside = np.ones(q_points.shape[0], dtype=bool)
-    for ax in range(q_points.shape[1]):
-        inside &= ((q_points[:, ax] >= modes.q_box[ax, 0])
-                   & (q_points[:, ax] <= modes.q_box[ax, 1]))
-    return gq * inside[None, :]
+def _in_q_box(modes, q):
+    """Whether each momentum q[..., :] lies inside the modes' q box."""
+    inside = np.ones(q.shape[:-1], dtype=bool)
+    for ax in range(q.shape[-1]):
+        inside &= (q[..., ax] >= modes.q_box[ax, 0]) & (q[..., ax] <= modes.q_box[ax, 1])
+    return inside
 
 
 def _diagram_core(term, modes, grid, params, t, quad, panel_factor=1.0):
-    """One second-order term on the output grid, coupling factored out."""
+    """One second-order term on the output grid, coupling factored out.
+
+    Every kernel phase splits as b = a(p, k) + c(u_j, k): a collects the
+    momentum and bath-frequency parts, c = -+u_j.k/2m the mode part.  The
+    full-window kernels take expm1 on the (N_p, K) and (M, K) factors only
+    (`_gain_split`, `_loss_split`), and the gain's gq(p + k) takes
+    e^{i s.(p+k)} as e^{i s.p} e^{i s.k}.  Mask-active columns use the
+    windowed integrals on the combined phases.
+    """
     d = params.d
     m = params.m_s
     X, P = _phase_grids(grid)
     nx, npts = X.shape[0], P.shape[0]
-    M = modes.u.shape[0]
+    M, L = modes.coef.shape
 
     p_scale = float(np.max(np.abs(P))) if P.size else 0.0
     k, wk, panels = _k_nodes(params, quad, t, modes.u_max, p_scale, panel_factor)
@@ -402,11 +486,15 @@ def _diagram_core(term, modes, grid, params, t, quad, panel_factor=1.0):
     xt = X[:, None, :] - P[None, :, :] * (t / m)             # (Nx, Np, d)
     ux_phase = np.exp(1j * (modes.u @ X.T))                  # (M, Nx)
     up_phase = np.exp(-1j * (modes.u @ P.T) * (t / m))       # (M, Np)
+    sp_phase = np.exp(1j * (modes.s @ P.T))                  # (L, Np)
     dom_hi = 2.0 * t if term == "gain" else t
     slope_sign = -1.0 if term == "gain" else +1.0
+    # the mode part c of each phase: -u.k/2m for the gain, +u.k/2m for losses
+    c_sign = -1.0 if term == "gain" else +1.0
 
     out = np.zeros((nx, npts), dtype=complex)
-    gq_p = None if term == "gain" else _eval_gq(modes, P)    # (M, Np)
+    if term != "gain":
+        gq_p = (modes.coef @ sp_phase) * _in_q_box(modes, P)[None, :]   # (M, Np)
 
     # chunk k so both the window arrays and the (M, Np, K) fast tensors stay
     # bounded; the masked sub-chunk budget accounts for the ~24 temporaries
@@ -419,7 +507,8 @@ def _diagram_core(term, modes, grid, params, t, quad, panel_factor=1.0):
         nck = kc.shape[0]
         kk = np.sum(kc**2, axis=-1)
         pk = (P @ kc.T) / m                                  # (Np, K)
-        uk = (modes.u @ kc.T) / (2.0 * m)                    # (M, K)
+        cu = c_sign * (modes.u @ kc.T) / (2.0 * m)           # (M, K)
+        ec = np.expm1(1j * t * cu)[:, None, :]               # (M, 1, K)
         meas = wc / ((2.0 * np.pi) ** d * 2.0 * om)
 
         w_lo = np.zeros((nx, npts, nck))
@@ -433,21 +522,24 @@ def _diagram_core(term, modes, grid, params, t, quad, panel_factor=1.0):
         full_cols = ((w_lo <= 0.0) & (w_hi >= dom_hi)).all(axis=0)   # (Np, K)
 
         if term == "gain":
-            q_pts = (P[:, None, :] + kc[None, :, :]).reshape(-1, d)
-            gq = _eval_gq(modes, q_pts).reshape(M, npts, nck)
+            sk_phase = np.exp(1j * (modes.s @ kc.T))         # (L, K)
+            phases = sp_phase[:, :, None] * sk_phase[:, None, :]
+            gq = (modes.coef @ phases.reshape(L, -1)).reshape(M, npts, nck)
+            gq *= _in_q_box(modes, P[:, None, :] + kc[None, :, :])[None]
 
         # mask-active k columns are handled with the windowed integrals in
-        # sub-chunks; fully-inside columns use the factorized fast form
+        # sub-chunks; fully-inside columns use the separable fast form
         masked_cols = np.nonzero(~full_cols.all(axis=0))[0]
         for sgn, wgt_full in branches:
             ww = meas * (wgt_full[sl] if np.ndim(wgt_full) else wgt_full)
+            w_full = ww[None, :] * full_cols                  # (Np, K)
             if term == "gain":
-                dd = pk + 0.5 * kk[None, :] / m
-                b1 = -dd[None] + sgn * om[None, None, :] - uk[:, None, :]
-                b2 = dd[None] - sgn * om[None, None, :] - uk[:, None, :]
-                i_full = seg_e0(b1, 0.0, t) * seg_e0(b2, 0.0, t)
-                acc = np.sum(ww[None, None, :] * gq * i_full
-                             * full_cols[None, :, :], axis=-1)
+                a = -(pk + 0.5 * kk[None, :] / m) + sgn * om[None, :]
+                b1 = a[None] + cu[:, None, :]
+                b2 = -a[None] + cu[:, None, :]
+                i_full = _gain_split(np.expm1(1j * t * a)[None], ec, b1, b2, t)
+                i_full *= gq
+                acc = np.einsum("jpk,pk->jp", i_full, w_full)
                 out += np.einsum("jx,jp,jp->xp", ux_phase, up_phase, acc)
                 for c0 in range(0, masked_cols.size, sub):
                     cc = masked_cols[c0:c0 + sub]
@@ -461,12 +553,10 @@ def _diagram_core(term, modes, grid, params, t, quad, panel_factor=1.0):
                     out += np.einsum("jx,jp,jxp->xp", ux_phase, up_phase, contrib)
             else:
                 sgn_term = +1.0 if term == "loss_left" else -1.0
-                bmat = (sgn_term * (pk[None] - 0.5 * kk[None, None, :] / m
-                                    - sgn * om[None, None, :])
-                        + uk[:, None, :])
-                f_full = window_loss_integral(bmat, t, 0.0, t)
-                acc = np.sum(ww[None, None, :] * f_full
-                             * full_cols[None, :, :], axis=-1)
+                a = sgn_term * (pk - 0.5 * kk[None, :] / m - sgn * om[None, :])
+                bmat = a[None] + cu[:, None, :]
+                f_full = _loss_split(np.expm1(1j * t * a)[None], ec, bmat, t)
+                acc = np.einsum("jpk,pk->jp", f_full, w_full)
                 out += np.einsum("jx,jp,jp,jp->xp", ux_phase, up_phase, gq_p, acc)
                 for c0 in range(0, masked_cols.size, sub):
                     cc = masked_cols[c0:c0 + sub]
@@ -489,6 +579,8 @@ def _term_trace(term, modes, params, t, quad):
     expansion period; the p integral follows the momentum support shifted by
     each transfer node, so mass scattered past any finite output window is
     still counted.  Used for the unitarity (trace cancellation) diagnostic.
+    Transfer nodes that share a p-panel count are evaluated together, in
+    chunks whose (L, nodes, p nodes) phase array stays within _TRACE_BYTES.
     """
     if params.d != 1:
         raise NotImplementedError("dedicated trace is implemented for d = 1")
@@ -497,6 +589,7 @@ def _term_trace(term, modes, params, t, quad):
     if np.any(modes.u[j0] != 0.0):
         raise RuntimeError("mode set lacks the zero position frequency")
     c0 = modes.coef[j0]                                     # (L,)
+    s0 = modes.s[:, 0]
     x_factor = float(modes.x_box[0, 1] - modes.x_box[0, 0])
     q_lo, q_hi = modes.q_box[0]
 
@@ -506,35 +599,38 @@ def _term_trace(term, modes, params, t, quad):
     omega = np.sqrt(k**2 + params.m_e**2)
     branches = _thermal_branches(omega, params)
 
+    phase = np.abs(k) * t * (q_hi - q_lo) / m + 2 * np.pi
+    p_panels = np.maximum(1, np.ceil(phase / (1.5 * quad.n_k)).astype(int))
     total = 0.0 + 0.0j
-    q_width = q_hi - q_lo
-    for i, (ki, wi, omi) in enumerate(zip(k, wk, omega)):
-        phase = abs(ki) * t * q_width / m + 2 * np.pi
-        panels = max(1, int(np.ceil(phase / (1.5 * quad.n_k))))
-        if term == "gain":
-            pn, pw = gauss_panels(q_lo - ki, q_hi - ki, quad.n_k, panels)
-            gq = np.where((pn + ki >= q_lo) & (pn + ki <= q_hi),
-                          np.einsum("l,l...->...", c0,
-                                    np.exp(1j * modes.s[:, 0][:, None] * (pn + ki))),
-                          0.0)
-        else:
-            pn, pw = gauss_panels(q_lo, q_hi, quad.n_k, panels)
-            gq = np.einsum("l,l...->...", c0,
-                           np.exp(1j * modes.s[:, 0][:, None] * pn))
-        dd = pn * ki / m + 0.5 * ki**2 / m
-        for sgn, wgt_full in branches:
-            wgt = wgt_full[i] if np.ndim(wgt_full) else wgt_full
-            meas = wi * wgt / (2.0 * np.pi * 2.0 * omi)
+    for count in np.unique(p_panels):
+        group = np.flatnonzero(p_panels == count)
+        step = max(1, _TRACE_BYTES // (16 * s0.size * int(count) * quad.n_k))
+        for i0 in range(0, group.size, step):
+            b = group[i0:i0 + step]
+            ki, omi = k[b, None], omega[b, None]
             if term == "gain":
-                b1 = -dd + sgn * omi
-                tfac = seg_e0(b1, 0.0, t) * seg_e0(-b1, 0.0, t)
-            elif term == "loss_left":
-                b = dd - ki**2 / m - sgn * omi   # p k/m - k^2/2m - sgn w
-                tfac = window_loss_integral(b, t, 0.0, t)
+                pn, pw = gauss_panels(q_lo - k[b], q_hi - k[b], quad.n_k, int(count))
+                q = pn + ki
+                gq = np.where((q >= q_lo) & (q <= q_hi),
+                              np.einsum("l,l...->...", c0,
+                                        np.exp(1j * s0[:, None, None] * q)), 0.0)
             else:
-                b = -(dd - ki**2 / m - sgn * omi)
-                tfac = window_loss_integral(b, t, 0.0, t)
-            total += meas * np.sum(pw * gq * tfac)
+                pn, pw = gauss_panels(q_lo, q_hi, quad.n_k, int(count))
+                gq = np.einsum("l,l...->...", c0, np.exp(1j * s0[:, None] * pn))
+            dd = pn * ki / m + 0.5 * ki**2 / m
+            for sgn, wgt_full in branches:
+                wgt = wgt_full[b] if np.ndim(wgt_full) else wgt_full
+                meas = wk[b] * wgt / (2.0 * np.pi * 2.0 * omega[b])
+                if term == "gain":
+                    b1 = -dd + sgn * omi
+                    tfac = seg_e0(b1, 0.0, t) * seg_e0(-b1, 0.0, t)
+                elif term == "loss_left":
+                    bl = dd - ki**2 / m - sgn * omi   # p k/m - k^2/2m - sgn w
+                    tfac = window_loss_integral(bl, t, 0.0, t)
+                else:
+                    bl = -(dd - ki**2 / m - sgn * omi)
+                    tfac = window_loss_integral(bl, t, 0.0, t)
+                total += meas @ np.sum(pw * gq * tfac, axis=-1)
     return complex(x_factor * total)
 
 
@@ -697,8 +793,15 @@ def evolve(w0, params, t, quad=None, backend="auto", workers=1):
     under the full phase-space sum), imaginary residues, Hermiticity defect
     of the reconstructed density matrix, per-term quadrature reports, and a
     perturbativity flag when the correction exceeds 30% of the zeroth order
-    in L1.  `workers` parallelizes the three independent diagram
-    evaluations; results are bitwise identical for any worker count.
+    in L1.  `workers` parallelizes the two diagram evaluations (gain and
+    loss_left); results are bitwise identical for any worker count.
+
+    loss_right is taken as conj(loss_left), its quadrature report copied
+    from loss_left's, and the trace defect uses Re(gain) - 2 Re(loss_left).
+    The imaginary part of gain - loss_left - conj(loss_left) is the gain's,
+    so `max_imag_residue` checks only the gain's reality; the mirror
+    identity itself is checked by `diagram_loss_right` and certification,
+    which evaluate loss_right independently.
 
     The zeroth order is the spectral shear of the grid samples
     (`evolve_zeroth`), except on the closed backend, which takes it from the
@@ -710,16 +813,18 @@ def evolve(w0, params, t, quad=None, backend="auto", workers=1):
         w_zeroth = zeroth_closed(w0, params, t)
     else:
         w_zeroth = evolve_zeroth(w0, params, t)
-    terms = ("gain", "loss_left", "loss_right")
+    terms = ("gain", "loss_left")
     if workers > 1 and t > 0.0:
-        with ThreadPoolExecutor(max_workers=min(workers, 3)) as ex:
+        with ThreadPoolExecutor(max_workers=min(workers, 2)) as ex:
             futs = [ex.submit(_diagram_with_report, term, w0, params, t,
                               quad, backend) for term in terms]
             results = [f.result() for f in futs]
     else:
         results = [_diagram_with_report(term, w0, params, t, quad, backend)
                    for term in terms]
-    (gain_c, rep_g), (loss_l_c, rep_ll), (loss_r_c, rep_lr) = results
+    (gain_c, rep_g), (loss_l_c, rep_ll) = results
+    loss_r_c = np.conj(loss_l_c)
+    rep_lr = dict(rep_ll, term="loss_right")
     gain, loss_l, loss_r = gain_c.real, loss_l_c.real, loss_r_c.real
 
     g2 = params.g**2
@@ -735,10 +840,9 @@ def evolve(w0, params, t, quad=None, backend="auto", workers=1):
     # window may lose genuinely scattered mass, reported separately
     if params.d == 1 and t > 0.0:
         modes = _resolve_modes(w0, params, t, quad, backend)
-        trace_defect = float(np.real(
-            _term_trace("gain", modes, params, t, quad)
-            - _term_trace("loss_left", modes, params, t, quad)
-            - _term_trace("loss_right", modes, params, t, quad)))
+        trace_defect = float(
+            np.real(_term_trace("gain", modes, params, t, quad))
+            - 2.0 * np.real(_term_trace("loss_left", modes, params, t, quad)))
     else:
         trace_defect = trace_window
     gain_l1 = float(np.sum(np.abs(gain)) * cell)

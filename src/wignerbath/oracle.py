@@ -546,7 +546,9 @@ def oracle_diagram(term_id, w0, params, t, probes, n_lambda=28, n_inner=24,
     are grouped by count, never padded).  Each group runs in chunks whose
     largest complex array, (taus, time nodes, eta or k nodes), stays within
     _BATCH_BYTES (8 MiB) unless one node alone exceeds it; the batching
-    changes only the summation order.
+    changes only the summation order.  The gain term's bath-propagator table
+    (tau nodes x eta nodes) is built at the first probe inside `budget_s`,
+    so a spent budget skips it.
     """
     if term_id not in ("zeroth", "gain", "loss_left", "loss_right"):
         raise ValueError(f"unknown term {term_id!r}")
@@ -603,11 +605,7 @@ def oracle_diagram(term_id, w0, params, t, probes, n_lambda=28, n_inner=24,
                    + 2.0 * max(abs(p) for _, p in probes.points) * t / m
                    + 2.0 * abs(spec.p0[0]) * t / m)
         eta_n, eta_w = _eta_mesh(eta_max, params.lambda_uv)
-        branches = []
-        for sign in (+1.0, -1.0):
-            tau_s = sign * lam_nodes**2
-            branches.append((tau_s, wightman_amp(-tau_s[:, None],
-                                                 eta_n[None, :], params) * eta_w))
+        branches = None   # bath table, built at the first probe within budget
     else:
         # the bath correlation's log(tau) layer between 1/lambda_uv and
         # 1/m_e needs composite lambda panels; the spectral integral
@@ -624,6 +622,10 @@ def oracle_diagram(term_id, w0, params, t, probes, n_lambda=28, n_inner=24,
             status.append({"converged": False, "err_est": float("nan"),
                            "status": "budget_exceeded"})
             continue
+        if term_id == "gain" and branches is None:
+            branches = [(tau_s, wightman_amp(-tau_s[:, None], eta_n[None, :],
+                                             params) * eta_w)
+                        for tau_s in (lam_nodes**2, -lam_nodes**2)]
         total = 0.0 + 0.0j
         for amp_i, ci in comps:
             for amp_j, cj in comps:

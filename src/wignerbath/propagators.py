@@ -23,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 _EXP_CUT = 700.0  # exp underflow guard for Bose factors
+_AMP_BYTES = 1 << 23  # largest complex (batch, k chunk) array in wightman_amp
 
 
 @dataclass(frozen=True)
@@ -117,13 +118,18 @@ def legendre_rule(n):
 
 
 def gauss_panels(lo, hi, n_per_panel, n_panels):
-    """Composite Gauss-Legendre nodes/weights on [lo, hi]."""
+    """Composite Gauss-Legendre nodes/weights on [lo, hi].
+
+    lo and hi may be arrays (broadcast together); the rules then stack
+    along a last axis, each row as the scalar call would build it.
+    """
     base_x, base_w = legendre_rule(n_per_panel)
-    edges = np.linspace(lo, hi, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
-    weights = (half[:, None] * base_w[None, :]).ravel()
+    edges = np.linspace(lo, hi, n_panels + 1, axis=-1)
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+    shape = np.broadcast_shapes(np.shape(lo), np.shape(hi)) + (-1,)
+    nodes = (mid[..., None] + half[..., None] * base_x).reshape(shape)
+    weights = (half[..., None] * base_w).reshape(shape)
     return nodes, weights
 
 
@@ -142,6 +148,10 @@ def wightman_amp(dt, dx, params, n_per_panel=24):
         d=1:  (1/2pi) Int_0^L dk cos(k dx)/omega * [phases]
         d=3:  (1/4pi^2) Int_0^L dk k^2 sinc(k r)/omega * [phases]
     where [phases] = (1+n) e^{-i omega dt} + n e^{+i omega dt}.
+
+    The k nodes are summed in chunks whose (batch, k chunk) complex arrays
+    stay within _AMP_BYTES; the nodes are those of one composite rule, so
+    the chunking changes only the summation order.
     """
     dt = np.asarray(dt, dtype=float)
     lam = params.lambda_uv
@@ -161,13 +171,19 @@ def wightman_amp(dt, dx, params, n_per_panel=24):
 
     dt_b = dt[..., None]
     r_b = r[..., None]
-    phases = (1.0 + occ) * np.exp(-1j * omega * dt_b) + occ * np.exp(1j * omega * dt_b)
-    if params.d == 1:
-        integrand = np.cos(k * r_b) / omega * phases
-        return np.sum(w * integrand, axis=-1) / (2.0 * np.pi)
-    ang = np.where(r_b > 0, np.sin(k * r_b) / np.where(r_b > 0, k * r_b, 1.0), 1.0)
-    integrand = k**2 * ang / omega * phases
-    return np.sum(w * integrand, axis=-1) / (4.0 * np.pi**2)
+    shape = np.broadcast_shapes(dt.shape, r.shape)
+    step = max(1, _AMP_BYTES // (16 * max(1, int(np.prod(shape)))))
+    total = np.zeros(shape, dtype=complex)
+    for k0 in range(0, k.size, step):
+        kc, wc, om, oc = (a[k0:k0 + step] for a in (k, w, omega, occ))
+        phases = (1.0 + oc) * np.exp(-1j * om * dt_b) + oc * np.exp(1j * om * dt_b)
+        if params.d == 1:
+            integrand = np.cos(kc * r_b) / om * phases
+        else:
+            ang = np.where(r_b > 0, np.sin(kc * r_b) / np.where(r_b > 0, kc * r_b, 1.0), 1.0)
+            integrand = kc**2 * ang / om * phases
+        total += np.sum(wc * integrand, axis=-1)
+    return total / (2.0 * np.pi if params.d == 1 else 4.0 * np.pi**2)
 
 
 def env_wightman(a, b, params, n_per_panel=24):

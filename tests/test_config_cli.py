@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from wignerbath import QuadratureSpec
 from wignerbath.config import parse_config, ConfigError
 from wignerbath.runio import run, write_wigner_csv, emit_plot_data, _atomic_write
 from wignerbath.cli import main
@@ -39,6 +40,16 @@ def test_config_error_aggregation():
     assert ">= 0" in msgs                                # times invariant
     assert "fly" in msgs
     assert len(exc.value.errors) >= 4
+
+
+def test_trapezoid_scheme_rejected():
+    with pytest.raises(ConfigError) as exc:
+        parse_config("quad.scheme = trapezoid\n")
+    assert exc.value.errors == [
+        "quad.scheme: 'trapezoid' is not supported; the only scheme is "
+        "'gauss-legendre'"]
+    with pytest.raises(ValueError, match="the only scheme"):
+        QuadratureSpec(scheme="trapezoid")
 
 
 def test_negative_time_rejected():

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -6,9 +7,12 @@ from wignerbath import (InitialStateSpec, ModelParams, QuadratureSpec,
                         diagram_gain, diagram_loss_left, diagram_loss_right)
 from wignerbath.states import balanced_grid, wigner_closed
 from wignerbath.wigner import observables
+from wignerbath import evolution
 from wignerbath.evolution import (_diagram_with_report, seg_e0, seg_e1,
                                   strip_gain_integral, window_loss_integral,
-                                  modes_from_grid, modes_from_closed)
+                                  modes_from_grid, modes_from_closed,
+                                  _gain_split, _loss_split, _resolve_modes,
+                                  _term_trace)
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +82,58 @@ def test_window_loss_integral():
         ws = 0.5 * (tb - ta) * wg
         ref = np.sum(ws * (t - ss) * np.exp(1j * B * ss))
         assert abs(window_loss_integral(np.array(B), t, ta, tb) - ref) < 1e-12
+
+
+def _mp_e0(b, t):
+    """Int_0^t e^{i b s} ds."""
+    if b == 0:
+        return mpmath.mpf(t)
+    return mpmath.expm1(1j * b * t) / (1j * b)
+
+
+@mpmath.workdps(40)
+def _mp_kernels(a, c, t):
+    """E0(a + c) E0(-a + c) and Int_0^t (t - tau) e^{i (a + c) tau} dtau at
+    40 digits, for the exact sums of the doubles a and c."""
+    b1 = mpmath.mpf(a) + mpmath.mpf(c)
+    b2 = -mpmath.mpf(a) + mpmath.mpf(c)
+    w = 1j * b1 * t
+    loss = mpmath.mpf(t) ** 2 / 2 if b1 == 0 else t**2 * (mpmath.expm1(w) - w) / w**2
+    return complex(_mp_e0(b1, t) * _mp_e0(b2, t)), complex(loss)
+
+
+@pytest.mark.parametrize("sign", (+1.0, -1.0))
+def test_separable_kernels_against_mpmath(sign):
+    """The separable kernels against 40-digit values of the same integrals.
+
+    The phase b = a + c reaches the kernels only through expm1(i a t) and
+    expm1(i c t).  Where a and c cancel (|a t|, |c t| >> |b t|) each factor
+    carries the rounding of its own phase, so the error bound is
+    4 eps (1 + |a t| + |c t|) in units of t^2 (for both kernels): the
+    error a direct evaluation makes from rounding b = a + c itself.  The
+    sweep covers |w| = |b t| from 1e-12 to 1e3, w = 0, and both sides of the
+    |w| = 1 switch to the direct form (gain) and the series (loss).
+    """
+    eps = np.finfo(float).eps
+    t = 0.7
+    w = np.concatenate([[0.0], np.logspace(-12, 3, 46),
+                        [1.0 - 1e-9, 1.0, 1.0 + 1e-9]])
+    for a in (0.0, 0.3, -5.0, 400.0):
+        c = sign * w / t - a
+        b1 = a + c
+        b2 = -a + c
+        ea = np.full(w.shape, np.expm1(1j * t * a))
+        ec = np.expm1(1j * t * c)
+        gain = _gain_split(ea, ec, b1, b2, t)
+        loss = _loss_split(ea, ec, b1, t)
+        for i in range(w.size):
+            # the exact phases of the split, not the rounded b1, b2
+            ref_gain, ref_loss = _mp_kernels(a, c[i], t)
+            bound = 4.0 * eps * (1.0 + abs(a * t) + abs(c[i] * t))
+            assert abs(gain[i] - ref_gain) <= bound * t**2, (a, w[i])
+            assert abs(loss[i] - ref_loss) <= bound * t**2, (a, w[i])
+            if a == 0.0:   # no cancellation: relative accuracy
+                assert abs(loss[i] - ref_loss) <= 8 * eps * abs(ref_loss)
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +237,11 @@ def test_small_time_quadratic_scaling(tiny_instance):
 def test_loss_mirror_identity(gentle_instance):
     w0, params, t, quad = (gentle_instance[k] for k in
                            ("w0", "params", "t", "quad"))
-    ll, _ = _diagram_with_report("loss_left", w0, params, t, quad, "grid")
-    lr, _ = _diagram_with_report("loss_right", w0, params, t, quad, "grid")
-    scale = np.max(np.abs(ll))
-    assert np.max(np.abs(ll - np.conj(lr))) < 1e-12 * max(scale, 1.0)
+    for backend in ("grid", "closed"):
+        ll, _ = _diagram_with_report("loss_left", w0, params, t, quad, backend)
+        lr, _ = _diagram_with_report("loss_right", w0, params, t, quad, backend)
+        scale = np.max(np.abs(ll))
+        assert np.max(np.abs(ll - np.conj(lr))) < 1e-12 * max(scale, 1.0)
 
 
 def test_gain_is_real(gentle_instance):
@@ -215,6 +272,37 @@ def test_quadrature_convergence_report(gentle_instance):
         change = float(np.sum(np.abs(v1 - v2)) * cell)
         assert rep["converged"]
         assert change <= max(rep["err_est"], 1e-14)
+
+
+def test_error_estimate_below_the_panel_floor(tiny_instance):
+    """At t = 0.01 the full run sits on the 2-panel floor; the half-panel
+    estimate must still come from fewer panels, so it is nonzero and bounds
+    the change that doubling n_k makes."""
+    w0, params, quad = (tiny_instance[k] for k in ("w0", "params", "quad"))
+    fine = QuadratureSpec(n_t=12, n_k=2 * quad.n_k, k_max=quad.k_max,
+                          rel_tol=quad.rel_tol)
+    cell = tiny_instance["grid"].cell_volume
+    t = 0.01
+    for term in ("gain", "loss_left", "loss_right"):
+        v1, rep = _diagram_with_report(term, w0, params, t, quad)
+        v2, _ = _diagram_with_report(term, w0, params, t, fine)
+        change = float(np.sum(np.abs(v1 - v2)) * cell)
+        assert rep["panels"] == 2
+        assert rep["rel_err_est"] > 0.0
+        assert change <= rep["err_est"]
+
+
+def test_trace_chunks_do_not_change_the_trace(gentle_instance, monkeypatch):
+    """One transfer node per chunk and one chunk per panel count agree."""
+    w0, t, quad = (gentle_instance[k] for k in ("w0", "t", "quad"))
+    params = ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=6.0, t_env=0.7)
+    modes = _resolve_modes(w0, params, t, quad, "auto")
+    for term in ("gain", "loss_left", "loss_right"):
+        vals = []
+        for budget in (1, 1 << 62):
+            monkeypatch.setattr(evolution, "_TRACE_BYTES", budget)
+            vals.append(_term_trace(term, modes, params, t, quad))
+        assert abs(vals[0] - vals[1]) <= 1e-14 * abs(vals[1])
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +348,21 @@ def test_evolve_diagnostics(gentle_instance):
     expected = res.w_zeroth.values + params.g**2 * (
         res.w_gain - res.w_loss_left - res.w_loss_right)
     assert np.array_equal(res.w_total.values, expected)
+
+
+@pytest.mark.parametrize("backend", ("auto", "grid"))
+def test_evolve_loss_right_matches_independent_term(gentle_instance, backend):
+    """evolve takes loss_right as conj(loss_left); the independent sign path
+    of the diagram evaluator gives the same term and the same report."""
+    w0, params, t, quad = (gentle_instance[k] for k in
+                           ("w0", "params", "t", "quad"))
+    res = evolve(w0, params, t, quad, backend=backend)
+    lr, rep = _diagram_with_report("loss_right", w0, params, t, quad, backend)
+    assert np.max(np.abs(res.w_loss_right - lr.real)) <= 1e-12 * np.max(np.abs(lr))
+    copied = res.diagnostics["quadrature_report"]["loss_right"]
+    assert copied["term"] == "loss_right"
+    assert copied["panels"] == rep["panels"]
+    assert copied["err_est"] == pytest.approx(rep["err_est"], rel=1e-6, abs=1e-15)
 
 
 def test_workers_bit_identical(gentle_instance):

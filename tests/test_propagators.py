@@ -5,6 +5,7 @@ from scipy.special import k0
 
 from wignerbath import (ModelParams, SpacetimePoint, sys_feynman, sys_dyson,
                         env_wightman, env_feynman, env_dyson)
+from wignerbath import propagators
 from wignerbath.propagators import wightman_amp, gauss_panels, legendre_rule
 
 
@@ -215,3 +216,33 @@ def test_gauss_panels_cache_cannot_be_corrupted():
     for base in legendre_rule(24):
         with pytest.raises(ValueError, match="read-only"):
             base[0] = 0.0
+
+
+def test_gauss_panels_array_endpoints_stack_scalar_rules():
+    lo = np.array([-6.0, 0.3, -0.05])
+    hi = np.array([4.0, 2.9, 7.5])
+    nodes, weights = gauss_panels(lo, hi, 24, 3)
+    assert nodes.shape == weights.shape == (3, 72)
+    for i in range(3):
+        ref_nodes, ref_weights = gauss_panels(lo[i], hi[i], 24, 3)
+        assert np.array_equal(nodes[i], ref_nodes)
+        assert np.array_equal(weights[i], ref_weights)
+    nodes, weights = gauss_panels(0.0, hi, 24, 3)
+    assert nodes.shape == weights.shape == (3, 72)
+    assert np.array_equal(nodes[1], gauss_panels(0.0, hi[1], 24, 3)[0])
+
+
+@pytest.mark.parametrize("d,t_env", ((1, 0.0), (1, 1.5), (3, 0.0)))
+def test_wightman_k_chunks_do_not_change_values(d, t_env, monkeypatch):
+    """A budget that forces one k node per chunk and one that takes every
+    node at once agree to rounding (the nodes are the same)."""
+    params = ModelParams(d=d, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=50.0, t_env=t_env)
+    rng = np.random.default_rng(5)
+    dt = rng.uniform(-1.0, 1.0, size=(7, 1))
+    dx = rng.uniform(-2.0, 2.0, size=(1, 9) if d == 1 else (1, 9, 3))
+    vals = []
+    for budget in (1, 1 << 62):
+        monkeypatch.setattr(propagators, "_AMP_BYTES", budget)
+        vals.append(wightman_amp(dt, dx, params))
+    assert vals[0].shape == (7, 9)
+    assert np.max(np.abs(vals[0] - vals[1])) <= 1e-14 * np.max(np.abs(vals[1]))
