@@ -22,7 +22,7 @@ reported together, not one at a time.
     state.sigma  packet width
     state.separation, state.phase   cat parameters
     times        output times, strictly increasing, >= 0
-    quad.n_t, quad.n_k, quad.k_max, quad.rel_tol
+    quad.n_k, quad.k_max, quad.rel_tol
     quad.scheme  gauss-legendre (the only scheme)
     out.dir      output directory
     out.plot_data  true | false  (gnuplot triplet files)
@@ -44,7 +44,7 @@ from .evolution import QuadratureSpec
 _KNOWN_KEYS = [
     "mode", "d", "n_x", "dx", "x_min", "m_s", "m_e", "g", "t_env",
     "lambda_uv", "state.kind", "state.x0", "state.p0", "state.sigma",
-    "state.separation", "state.phase", "times", "quad.n_t", "quad.n_k",
+    "state.separation", "state.phase", "times", "quad.n_k",
     "quad.k_max", "quad.rel_tol", "quad.scheme", "out.dir", "out.plot_data",
     "workers", "backend", "boundary_tol",
 ]
@@ -65,7 +65,6 @@ _DEFAULTS = {
     "state.separation": "0.0",
     "state.phase": "0.0",
     "times": "1.0",
-    "quad.n_t": "16",
     "quad.n_k": "24",
     "quad.k_max": "0",
     "quad.rel_tol": "1e-6",
@@ -162,7 +161,6 @@ def parse_config(text, overrides=None):
     x0 = grab("state.x0", _parse_floats, "comma list of numbers")
     p0 = grab("state.p0", _parse_floats, "comma list of numbers")
     times = grab("times", _parse_floats, "comma list of numbers")
-    n_t = grab("quad.n_t", int, "integer")
     n_k = grab("quad.n_k", int, "integer")
     k_max = grab("quad.k_max", float, "number")
     rel_tol = grab("quad.rel_tol", float, "number")
@@ -196,10 +194,10 @@ def parse_config(text, overrides=None):
                                        sigma=sigma, separation=sep, phase=phase)
         except ValueError as exc:
             errors.append(f"state: {exc}")
-    if None not in (n_t, n_k, k_max, rel_tol) and scheme == "gauss-legendre":
+    if None not in (n_k, k_max, rel_tol) and scheme == "gauss-legendre":
         try:
-            quad = QuadratureSpec(n_t=n_t, n_k=n_k, k_max=k_max,
-                                  rel_tol=rel_tol, scheme=scheme)
+            quad = QuadratureSpec(n_k=n_k, k_max=k_max, rel_tol=rel_tol,
+                                  scheme=scheme)
         except ValueError as exc:
             errors.append(f"quad: {exc}")
     if initial is not None and n_x is not None:

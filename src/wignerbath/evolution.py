@@ -34,15 +34,27 @@ so their triangle integral collapses to Int_0^t (t - tau) e^{iB tau} dtau
 exactly.  A thermal bath splits each frequency phase into Bose-weighted
 (1 + n, n) branches.  The summary above is the derivation's only write-up.
 
+Time kernels.  Every closed-form time integral is built on one pair of
+primitives, each taken from its power series in w = ibd where |w| < 1
+(`_time_kernel`):
+
+    E0(b, d) = Int_0^d e^{ibs} ds          = expm1(w)/(ib)
+    F(b, d)  = Int_0^d (d - s) e^{ibs} ds  = d^2 (expm1(w) - w)/w^2.
+
+On the full window I = E0(beta1, t) E0(beta2, t) and Fw = F(B, t).  A
+window [s1, s2] of length d shifts the phase: e^{ib s1} E0 is the integral
+of e^{ibs} and e^{ib s1} (s2 E0 - F) that of s e^{ibs} (`seg_e0`,
+`seg_e1`); the loss window [ta, tb] gives e^{iB ta} ((t - tb) E0 + F)
+(`window_loss_integral`) and the gain's strip in s = t1 + t2 four `seg_e0`
+terms (`strip_gain_integral`).  An empty window has d = 0, hence value 0.
+
 Separable kernels.  Every phase above is a(p, k) + c(u_j, k) with
-c = -+u_j.k/2m, so on the full time window e^{i(a + c)t} needs exponentials
-of the (N_p, K) and (M, K) factors only, combined by
-expm1(x + y) = expm1(x) expm1(y) + expm1(x) + expm1(y): I = E0(beta1)
-E0(beta2) with E0(b) = expm1(i b t)/(i b), and Fw = t^2 (expm1(w) - w)/w^2
-with w = iBt.  Where |b t| < 1 the combination cancels; there E0 is taken
-from b directly and Fw from its series in w.  The transcendental cost per
-k chunk is thus O((M + N_p) K) instead of O(M N_p K); gq_j(p + k) likewise
-uses e^{i s.(p+k)} = e^{i s.p} e^{i s.k}.
+c = -+u_j.k/2m, so on the full window expm1(i(a + c)t) needs exponentials
+of the (N_p, K) and (M, K) factors only, combined by expm1(x + y) =
+expm1(x) expm1(y) + expm1(x) + expm1(y) and handed to the primitives
+(`_gain_split`, `_loss_split`), whose series take over where this cancels.
+The transcendental cost per k chunk is thus O((M + N_p) K) instead of
+O(M N_p K); gq_j(p + k) likewise uses e^{i s.(p+k)} = e^{i s.p} e^{i s.k}.
 
 loss_right is the complex conjugate of loss_left (B~ = -B once u_j -> -u_j,
 and the coefficients of a real W0 satisfy c_{-j,-l} = conj(c_{jl})), so
@@ -71,7 +83,7 @@ from .states import InitialStateSpec, sample_closed, wigner_atoms
 from .propagators import bose_occupation, gauss_panels
 
 SUPPORT_TOL = 1e-9        # relative mass threshold for the shear support check
-SMALL_PHASE = 1e-5        # |gamma|*t below which degenerate series are used
+SMALL_PHASE = 1e-5        # |gamma|*2t below which the strip takes gamma = 0
 COEF_TRUNC = 1e-19        # closed-form mode coefficient truncation
 PHASE_PER_PANEL = 24.0    # analytic phase (radians) covered by one k panel
 _CHUNK_BYTES = 1 << 28    # ~256 MB cap for the masked time-integral tensors
@@ -79,114 +91,110 @@ _TRACE_BYTES = 1 << 24    # cap for one trace chunk's (L, nodes, p nodes) phases
 
 
 # ---------------------------------------------------------------------------
-# stable exponential-integral helpers
+# closed-form time kernels
 # ---------------------------------------------------------------------------
 
-def _phi1(z):
-    """(e^z - 1)/z with a series branch near 0."""
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < 1e-6
-    zs = np.where(small, 1.0, z)
-    return np.where(small, 1.0 + z / 2.0 + z * z / 6.0, (np.exp(zs) - 1.0) / zs)
+# 1/n! for n = 0..19: the series below, to rounding for |w| <= 1
+_INV_FACT = 1.0 / np.array([math.factorial(n) for n in range(20)])
 
 
-def _phi2(z):
-    """(z e^z - e^z + 1)/z^2 with a series branch near 0."""
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < 1e-4
-    zs = np.where(small, 1.0, z)
-    exact = (zs * np.exp(zs) - np.exp(zs) + 1.0) / (zs * zs)
-    series = 0.5 + z / 3.0 + z * z / 8.0 + z**3 / 30.0
-    return np.where(small, series, exact)
+def _time_kernel(b, d, k, em1=None):
+    """Int_0^d (d - s)^(k-1)/(k-1)! e^{ibs} ds = d^k sum_n w^n/(n+k)! with
+    w = ibd, for k = 1 (E0) and k = 2 (F).
+
+    Where |w| >= 1 it is (expm1(w) - sum_{0<n<k} w^n/n!)/(ib)^k, from
+    em1 = expm1(w), which is computed unless given: a caller may combine it
+    from split phase factors (`_expm1_sum`), which cancel where |w| < 1, so
+    there the series is always used.
+    """
+    b = np.asarray(b, dtype=float)
+    bd = np.asarray(b * d)
+    out = np.asarray(np.expm1(1j * bd)) if em1 is None else np.array(em1)
+    if k == 2:
+        out.imag -= bd
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out *= (-1j) ** k
+        out /= b ** k
+    near = np.abs(bd) < 1.0
+    w = 1j * bd[near]
+    series = np.full(w.shape, _INV_FACT[-1], dtype=complex)
+    for c in _INV_FACT[-2:k - 1:-1]:
+        series *= w
+        series += c
+    out[near] = np.broadcast_to(d, near.shape)[near] ** k * series
+    return out
+
+
+def _e0(b, d, em1=None):
+    """E0(b, d) = Int_0^d e^{ibs} ds = expm1(ibd)/(ib) (d at b = 0)."""
+    return _time_kernel(b, d, 1, em1)
+
+
+def _f(b, d, em1=None):
+    """F(b, d) = Int_0^d (d - s) e^{ibs} ds = d^2 (expm1(w) - w)/w^2, w = ibd."""
+    return _time_kernel(b, d, 2, em1)
 
 
 def seg_e0(beta, s1, s2):
-    """Int_{s1}^{s2} e^{i beta s} ds, vectorized, stable for small beta."""
-    d = s2 - s1
-    z = 1j * np.asarray(beta, dtype=complex) * d
-    return np.exp(1j * np.multiply(beta, s1)) * d * _phi1(z)
+    """Int_{s1}^{s2} e^{i beta s} ds = e^{i beta s1} E0(beta, s2 - s1)."""
+    beta = np.asarray(beta, dtype=float)
+    return np.exp(1j * (beta * s1)) * _e0(beta, np.subtract(s2, s1))
 
 
 def seg_e1(beta, s1, s2):
-    """Int_{s1}^{s2} s e^{i beta s} ds."""
-    d = s2 - s1
-    z = 1j * np.asarray(beta, dtype=complex) * d
-    return np.exp(1j * np.multiply(beta, s1)) * (s1 * d * _phi1(z) + d * d * _phi2(z))
+    """Int_{s1}^{s2} s e^{i beta s} ds = e^{i beta s1} (s2 E0 - F), both at
+    (beta, s2 - s1)."""
+    beta = np.asarray(beta, dtype=float)
+    d = np.subtract(s2, s1)
+    em1 = np.expm1(1j * (beta * d))
+    return np.exp(1j * (beta * s1)) * (s2 * _e0(beta, d, em1) - _f(beta, d, em1))
 
 
 def window_loss_integral(B, t, ta, tb):
-    """Int_{ta}^{tb} (t - tau) e^{i B tau} dtau with [ta, tb] clipped to [0, t]."""
-    ta = np.maximum(np.asarray(ta, dtype=float), 0.0)
-    tb = np.minimum(np.asarray(tb, dtype=float), float(t))
-    empty = tb <= ta
-    ta_s = np.where(empty, 0.0, ta)
-    tb_s = np.where(empty, 0.0, tb)
-    val = t * seg_e0(B, ta_s, tb_s) - seg_e1(B, ta_s, tb_s)
-    return np.where(empty, 0.0 + 0.0j, val)
+    """Int_{ta}^{tb} (t - tau) e^{i B tau} dtau with [ta, tb] clipped to [0, t]:
+    e^{i B ta} ((t - tb) E0(B, d) + F(B, d)) with d = tb - ta, which is 0 for
+    an empty window."""
+    B = np.asarray(B, dtype=float)
+    ta = np.clip(ta, 0.0, t)
+    tb = np.clip(tb, ta, t)
+    d = tb - ta
+    em1 = np.expm1(1j * (B * d))
+    return np.exp(1j * (B * ta)) * ((t - tb) * _e0(B, d, em1) + _f(B, d, em1))
 
 
 def strip_gain_integral(b1, b2, t, s_lo, s_hi):
     """Double time integral of e^{i(b1 t1 + b2 t2)} over [0,t]^2 restricted to
-    the strip s_lo <= t1 + t2 <= s_hi.
+    the strip s_lo <= t1 + t2 <= s_hi (b1, b2 real).
 
-    Rotating to s = t1 + t2, the transverse integral is elementary and the
-    s-integral has closed antiderivatives on [0, t] and [t, 2t]; the
-    degenerate direction b1 -> b2 uses a series-safe form.  For the full
-    strip [0, 2t] this reduces to E0(b1; 0, t) * E0(b2; 0, t).
+    In s = t1 + t2 the transverse integral is elementary: with
+    gamma = b1 - b2 the s-integrand is (e^{i b1 s} - e^{i b2 s})/(i gamma)
+    on [0, t] and (e^{i gamma t} e^{i b2 s} - e^{-i gamma t} e^{i b1 s})/
+    (i gamma) on [t, 2t], so four `seg_e0` calls give the strip.  Where
+    |gamma| 2t < SMALL_PHASE that difference cancels, and those elements take
+    the gamma = 0 limit, the moments s and 2t - s of e^{i bbar s}.  For the
+    full strip [0, 2t] this is E0(b1, t) E0(b2, t).
     """
-    b1 = np.asarray(b1, dtype=complex)
-    b2 = np.asarray(b2, dtype=complex)
+    b1 = np.asarray(b1, dtype=float)
+    b2 = np.asarray(b2, dtype=float)
     gamma = b1 - b2
-    bbar = 0.5 * (b1 + b2)
-    small = np.abs(gamma) * (2.0 * t) < SMALL_PHASE
-    gam_s = np.where(small, 1.0, gamma)
-
-    lo = np.maximum(np.asarray(s_lo, dtype=float), 0.0)
-    hi = np.minimum(np.asarray(s_hi, dtype=float), 2.0 * t)
-
-    a1 = np.clip(lo, 0.0, t)
-    c1 = np.clip(hi, 0.0, t)
-    empty1 = c1 <= a1
-    a1s = np.where(empty1, 0.0, a1)
-    c1s = np.where(empty1, 0.0, c1)
-    seg1 = np.where(
-        empty1, 0.0 + 0.0j,
-        np.where(small, seg_e1(bbar, a1s, c1s),
-                 (seg_e0(b1, a1s, c1s) - seg_e0(b2, a1s, c1s)) / (1j * gam_s)))
-
-    a2 = np.clip(lo, t, 2.0 * t)
-    c2 = np.clip(hi, t, 2.0 * t)
-    empty2 = c2 <= a2
-    a2s = np.where(empty2, t, a2)
-    c2s = np.where(empty2, t, c2)
-    seg2 = np.where(
-        empty2, 0.0 + 0.0j,
-        np.where(small,
-                 2.0 * t * seg_e0(bbar, a2s, c2s) - seg_e1(bbar, a2s, c2s),
-                 (np.exp(1j * gamma * t) * seg_e0(b2, a2s, c2s)
-                  - np.exp(-1j * gamma * t) * seg_e0(b1, a2s, c2s)) / (1j * gam_s)))
-    return seg1 + seg2
-
-
-# 1/(n+2)! for n = 0..16: (expm1(w) - w)/w^2 to rounding for |w| <= 1
-_LOSS_SERIES = 1.0 / np.array([math.factorial(n + 2) for n in range(17)])
-
-
-def _e0_direct(b, t):
-    """E0(b) = Int_0^t e^{i b s} ds = expm1(i b t)/(i b) for real b (t at b = 0)."""
-    b = np.asarray(b, dtype=float)
-    out = np.full(b.shape, complex(t))
-    nz = b != 0.0
-    out[nz] = np.expm1(1j * t * b[nz]) / (1j * b[nz])
+    # the parts of [s_lo, s_hi] in [0, t] and [t, 2t]; an empty part has length 0
+    a1 = np.clip(s_lo, 0.0, t)
+    c1 = np.clip(s_hi, a1, t)
+    a2 = np.clip(s_lo, t, 2.0 * t)
+    c2 = np.clip(s_hi, a2, 2.0 * t)
+    eg = np.exp(1j * (gamma * t))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.asarray(seg_e0(b1, a1, c1) - seg_e0(b2, a1, c1))
+        out += eg * seg_e0(b2, a2, c2)
+        out -= np.conj(eg) * seg_e0(b1, a2, c2)
+        out *= np.divide(-1j, gamma)
+    small = np.broadcast_to(np.abs(gamma) * (2.0 * t) < SMALL_PHASE, out.shape)
+    if small.any():
+        bbar, a1, c1, a2, c2 = (np.broadcast_to(v, out.shape)[small]
+                                for v in (0.5 * (b1 + b2), a1, c1, a2, c2))
+        out[small] = (seg_e1(bbar, a1, c1) + 2.0 * t * seg_e0(bbar, a2, c2)
+                      - seg_e1(bbar, a2, c2))
     return out
-
-
-def _loss_series(w):
-    """(expm1(w) - w)/w^2 = sum_n w^n/(n+2)!, for |w| <= 1."""
-    acc = np.full(np.shape(w), _LOSS_SERIES[-1], dtype=complex)
-    for c in _LOSS_SERIES[-2::-1]:
-        acc = acc * w + c
-    return acc
 
 
 def _expm1_sum(ea, ec):
@@ -198,35 +206,17 @@ def _expm1_sum(ea, ec):
 
 
 def _gain_split(ea, ec, b1, b2, t):
-    """E0(b1) E0(b2) for b1 = a + c and b2 = -a + c (all real).
-
-    ea = expm1(i a t) and ec = expm1(i c t) are taken on the separate
-    factors, so the exponentials cost O(size(a) + size(c)); expm1(-i a t) is
-    conj(ea).  Where |b t| < 1 the combined numerator cancels, so there E0 is
-    taken from b directly.
-    """
-    num = _expm1_sum(ea, ec)
-    num *= _expm1_sum(np.conj(ea), ec)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        num /= -(b1 * b2)
-    near = (np.abs(b1) * t < 1.0) | (np.abs(b2) * t < 1.0)
-    num[near] = _e0_direct(b1[near], t) * _e0_direct(b2[near], t)
-    return num
+    """E0(b1, t) E0(b2, t) for b1 = a + c and b2 = -a + c (all real), from
+    ea = expm1(i a t) and ec = expm1(i c t): the exponentials cost
+    O(size(a) + size(c)), and expm1(-i a t) is conj(ea)."""
+    out = _e0(b1, t, _expm1_sum(ea, ec))
+    out *= _e0(b2, t, _expm1_sum(np.conj(ea), ec))
+    return out
 
 
 def _loss_split(ea, ec, b, t):
-    """Int_0^t (t - tau) e^{i b tau} dtau = t^2 (expm1(w) - w)/w^2, w = i b t,
-    for b = a + c (real), from ea = expm1(i a t) and ec = expm1(i c t).
-
-    Where |w| < 1 the numerator cancels, so there the series in w is used.
-    """
-    num = _expm1_sum(ea, ec)
-    num.imag -= t * b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        num /= -(b * b)
-    near = np.abs(b) * t < 1.0
-    num[near] = t * t * _loss_series(1j * t * b[near])
-    return num
+    """F(b, t) for b = a + c (real), from ea = expm1(i a t) and ec = expm1(i c t)."""
+    return _f(b, t, _expm1_sum(ea, ec))
 
 
 # ---------------------------------------------------------------------------
@@ -237,21 +227,18 @@ def _loss_split(ea, ec, b, t):
 class QuadratureSpec:
     """Controls for the numerical momentum-transfer integral.
 
-    n_t is validated and recorded but read by no computation: the fast path
-    integrates time analytically and reports it as exact, and the
-    certification oracle sizes its time quadrature with its own n_lambda and
-    n_inner.  k_max = 0 means "use the model's UV cutoff".
+    There is no time quadrature to control: the fast path integrates time
+    analytically and reports it as exact, and the certification oracle sizes
+    its time quadrature with its own n_lambda and n_inner.  k_max = 0 means
+    "use the model's UV cutoff".
     """
 
-    n_t: int = 16
     n_k: int = 24
     k_max: float = 0.0
     rel_tol: float = 1e-6
     scheme: str = "gauss-legendre"
 
     def __post_init__(self):
-        if self.n_t < 8:
-            raise ValueError("n_t must be >= 8")
         if self.n_k < 16:
             raise ValueError("n_k must be >= 16")
         if self.k_max < 0.0:
@@ -438,19 +425,24 @@ def _thermal_branches(omega, params):
     return [(+1.0, 1.0 + occ), (-1.0, occ)]
 
 
-def _axis_window(center, slope, lo, hi, dom_hi):
-    """Window in s where center + slope*s stays inside [lo, hi], clipped to
-    [0, dom_hi]; empty windows return lo >= hi."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b1 = (lo - center) / slope
-        b2 = (hi - center) / slope
-    w_lo = np.where(slope > 0, b1, b2)
-    w_hi = np.where(slope > 0, b2, b1)
-    inside = (center >= lo) & (center <= hi)
-    flat = slope == 0.0
-    w_lo = np.where(flat, np.where(inside, 0.0, dom_hi), w_lo)
-    w_hi = np.where(flat, np.where(inside, dom_hi, 0.0), w_hi)
-    return np.maximum(w_lo, 0.0), np.minimum(w_hi, dom_hi)
+def _windows(xt, slopes, x_box, dom_hi):
+    """Per (xt row, p, k): the s window in [0, dom_hi] in which every axis of
+    xt + slope s stays inside x_box; xt is (rows, Np, d), slopes (K, d).
+    Empty windows have lo >= hi."""
+    w_lo, w_hi = 0.0, dom_hi
+    for ax in range(xt.shape[-1]):
+        center, slope = xt[..., ax][..., None], slopes[:, ax]
+        lo, hi = x_box[ax]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b1 = (lo - center) / slope
+            b2 = (hi - center) / slope
+        inside = (center >= lo) & (center <= hi)
+        flat = slope == 0.0
+        w_lo = np.maximum(w_lo, np.where(flat, np.where(inside, 0.0, dom_hi),
+                                         np.where(slope > 0, b1, b2)))
+        w_hi = np.minimum(w_hi, np.where(flat, np.where(inside, dom_hi, 0.0),
+                                         np.where(slope > 0, b2, b1)))
+    return w_lo, w_hi
 
 
 def _in_q_box(modes, q):
@@ -496,10 +488,9 @@ def _diagram_core(term, modes, grid, params, t, quad, panel_factor=1.0):
     if term != "gain":
         gq_p = (modes.coef @ sp_phase) * _in_q_box(modes, P)[None, :]   # (M, Np)
 
-    # chunk k so both the window arrays and the (M, Np, K) fast tensors stay
-    # bounded; the masked sub-chunk budget accounts for the ~24 temporaries
-    # the windowed integrals allocate
-    chunk = max(1, int(_CHUNK_BYTES // max(16 * nx * npts, 16 * M * npts * 12, 1)))
+    # chunk k so the (M, Np, K) fast tensors stay bounded; the masked
+    # sub-chunk budget allows for the temporaries of the windowed integrals
+    chunk = max(1, int(_CHUNK_BYTES // max(16 * M * npts * 12, 1)))
     sub = max(1, int(_CHUNK_BYTES // max(16 * M * nx * npts * 24, 1)))
     for k0 in range(0, nk, chunk):
         sl = slice(k0, min(nk, k0 + chunk))
@@ -510,26 +501,22 @@ def _diagram_core(term, modes, grid, params, t, quad, panel_factor=1.0):
         cu = c_sign * (modes.u @ kc.T) / (2.0 * m)           # (M, K)
         ec = np.expm1(1j * t * cu)[:, None, :]               # (M, 1, K)
         meas = wc / ((2.0 * np.pi) ** d * 2.0 * om)
+        slopes = slope_sign * kc / (2.0 * m)                 # (K, d)
 
-        w_lo = np.zeros((nx, npts, nck))
-        w_hi = np.full((nx, npts, nck), dom_hi)
-        for ax in range(d):
-            slope = slope_sign * kc[:, ax] / (2.0 * m)
-            la, ha = _axis_window(xt[..., ax][..., None], slope[None, None, :],
-                                  modes.x_box[ax, 0], modes.x_box[ax, 1], dom_hi)
-            w_lo = np.maximum(w_lo, la)
-            w_hi = np.minimum(w_hi, ha)
-        full_cols = ((w_lo <= 0.0) & (w_hi >= dom_hi)).all(axis=0)   # (Np, K)
+        # xt is monotone in x along each axis, so a (p, k) column is full
+        # (no x leaves the box during the window) when the first and last x
+        # nodes stay inside; only the other columns need windows
+        e_lo, e_hi = _windows(xt[[0, -1]], slopes, modes.x_box, dom_hi)
+        full_cols = ((e_lo <= 0.0) & (e_hi >= dom_hi)).all(axis=0)   # (Np, K)
+        masked_cols = np.nonzero(~full_cols.all(axis=0))[0]
 
         if term == "gain":
             sk_phase = np.exp(1j * (modes.s @ kc.T))         # (L, K)
-            phases = sp_phase[:, :, None] * sk_phase[:, None, :]
-            gq = (modes.coef @ phases.reshape(L, -1)).reshape(M, npts, nck)
+            # the (L, Np, K) phase table is a temporary, freed before the kernels
+            gq = (modes.coef @ (sp_phase[:, :, None] * sk_phase[:, None, :])
+                  .reshape(L, -1)).reshape(M, npts, nck)
             gq *= _in_q_box(modes, P[:, None, :] + kc[None, :, :])[None]
 
-        # mask-active k columns are handled with the windowed integrals in
-        # sub-chunks; fully-inside columns use the separable fast form
-        masked_cols = np.nonzero(~full_cols.all(axis=0))[0]
         for sgn, wgt_full in branches:
             ww = meas * (wgt_full[sl] if np.ndim(wgt_full) else wgt_full)
             w_full = ww[None, :] * full_cols                  # (Np, K)
@@ -541,16 +528,6 @@ def _diagram_core(term, modes, grid, params, t, quad, panel_factor=1.0):
                 i_full *= gq
                 acc = np.einsum("jpk,pk->jp", i_full, w_full)
                 out += np.einsum("jx,jp,jp->xp", ux_phase, up_phase, acc)
-                for c0 in range(0, masked_cols.size, sub):
-                    cc = masked_cols[c0:c0 + sub]
-                    act = ~full_cols[:, cc]                   # (Np, Kc)
-                    istrip = strip_gain_integral(
-                        b1[:, None, :, cc], b2[:, None, :, cc], t,
-                        w_lo[None, :, :, cc], w_hi[None, :, :, cc])
-                    contrib = np.sum(
-                        (ww[cc] * gq[:, :, cc] * act[None, :, :])[:, None, :, :]
-                        * istrip, axis=-1)                    # (M, Nx, Np)
-                    out += np.einsum("jx,jp,jxp->xp", ux_phase, up_phase, contrib)
             else:
                 sgn_term = +1.0 if term == "loss_left" else -1.0
                 a = sgn_term * (pk - 0.5 * kk[None, :] / m - sgn * om[None, :])
@@ -558,14 +535,23 @@ def _diagram_core(term, modes, grid, params, t, quad, panel_factor=1.0):
                 f_full = _loss_split(np.expm1(1j * t * a)[None], ec, bmat, t)
                 acc = np.einsum("jpk,pk->jp", f_full, w_full)
                 out += np.einsum("jx,jp,jp,jp->xp", ux_phase, up_phase, gq_p, acc)
-                for c0 in range(0, masked_cols.size, sub):
-                    cc = masked_cols[c0:c0 + sub]
-                    act = ~full_cols[:, cc]
-                    f_win = window_loss_integral(
-                        bmat[:, None, :, cc], t,
-                        w_lo[None, :, :, cc], w_hi[None, :, :, cc])
-                    contrib = np.sum((ww[cc] * act)[None, None, :, :]
-                                     * f_win, axis=-1)
+            # mask-active columns, in sub-chunks, with the windowed integrals
+            for c0 in range(0, masked_cols.size, sub):
+                cc = masked_cols[c0:c0 + sub]
+                act = ~full_cols[:, cc]                       # (Np, Kc)
+                w_lo, w_hi = _windows(xt, slopes[cc], modes.x_box, dom_hi)
+                if term == "gain":
+                    istrip = strip_gain_integral(b1[:, None, :, cc],
+                                                 b2[:, None, :, cc], t,
+                                                 w_lo[None], w_hi[None])
+                    contrib = np.sum(
+                        (ww[cc] * gq[:, :, cc] * act[None, :, :])[:, None, :, :]
+                        * istrip, axis=-1)                    # (M, Nx, Np)
+                    out += np.einsum("jx,jp,jxp->xp", ux_phase, up_phase, contrib)
+                else:
+                    f_win = window_loss_integral(bmat[:, None, :, cc], t,
+                                                 w_lo[None], w_hi[None])
+                    contrib = np.sum((ww[cc] * act)[None, None, :, :] * f_win, axis=-1)
                     out += np.einsum("jx,jp,jp,jxp->xp", ux_phase, up_phase,
                                      gq_p, contrib)
 
@@ -581,6 +567,13 @@ def _term_trace(term, modes, params, t, quad):
     still counted.  Used for the unitarity (trace cancellation) diagnostic.
     Transfer nodes that share a p-panel count are evaluated together, in
     chunks whose (L, nodes, p nodes) phase array stays within _TRACE_BYTES.
+
+    The time factor is |E0(b, t)|^2 for the gain and F(b, t) for a loss.
+    After q = p + k the gain's phase is minus loss_left's, b = -B, and
+    2 Re F(B, t) = |E0(B, t)|^2 = 2 (1 - cos Bt)/B^2, so the gain's integrand
+    equals 2 Re of loss_left's pointwise.  Their difference therefore checks
+    the kernels' consistency and signs to rounding; it says nothing about
+    the output-grid diagrams (windows, masks, k quadrature on the grid).
     """
     if params.d != 1:
         raise NotImplementedError("dedicated trace is implemented for d = 1")
@@ -622,14 +615,10 @@ def _term_trace(term, modes, params, t, quad):
                 wgt = wgt_full[b] if np.ndim(wgt_full) else wgt_full
                 meas = wk[b] * wgt / (2.0 * np.pi * 2.0 * omega[b])
                 if term == "gain":
-                    b1 = -dd + sgn * omi
-                    tfac = seg_e0(b1, 0.0, t) * seg_e0(-b1, 0.0, t)
-                elif term == "loss_left":
-                    bl = dd - ki**2 / m - sgn * omi   # p k/m - k^2/2m - sgn w
-                    tfac = window_loss_integral(bl, t, 0.0, t)
+                    tfac = np.abs(_e0(-dd + sgn * omi, t)) ** 2
                 else:
-                    bl = -(dd - ki**2 / m - sgn * omi)
-                    tfac = window_loss_integral(bl, t, 0.0, t)
+                    bl = dd - ki**2 / m - sgn * omi   # p k/m - k^2/2m - sgn w
+                    tfac = _f(bl if term == "loss_left" else -bl, t)
                 total += meas @ np.sum(pw * gq * tfac, axis=-1)
     return complex(x_factor * total)
 
@@ -793,8 +782,13 @@ def evolve(w0, params, t, quad=None, backend="auto", workers=1):
     under the full phase-space sum), imaginary residues, Hermiticity defect
     of the reconstructed density matrix, per-term quadrature reports, and a
     perturbativity flag when the correction exceeds 30% of the zeroth order
-    in L1.  `workers` parallelizes the two diagram evaluations (gain and
-    loss_left); results are bitwise identical for any worker count.
+    in L1.  In d = 1, `trace_defect_g2` comes from `_term_trace`, whose gain
+    and loss integrands coincide pointwise (2 Re F = |E0|^2), so it detects
+    inconsistent time kernels or signs, to rounding, but not errors of the
+    diagrams on the output grid; `trace_defect_window` is the correction's
+    sum over the output grid.  `workers` parallelizes the two diagram
+    evaluations (gain and loss_left); results are bitwise identical for any
+    worker count.
 
     loss_right is taken as conj(loss_left), its quadrature report copied
     from loss_left's, and the trace defect uses Re(gain) - 2 Re(loss_left).

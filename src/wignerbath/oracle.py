@@ -666,7 +666,7 @@ def certify_instance(w0, params, t, probes, quad, terms=("gain", "loss_left",
             "lambda_uv": params.lambda_uv, "t": t,
             "n_x": grid.n_x, "dx": grid.dx, "x_min": grid.x_min,
             "state": None if w0.source is None else vars(w0.source) | {},
-            "quad": {"n_t": quad.n_t, "n_k": quad.n_k,
+            "quad": {"n_k": quad.n_k,
                      "k_max": quad.resolved_k_max(params),
                      "scheme": quad.scheme},
         },

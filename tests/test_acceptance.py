@@ -188,13 +188,12 @@ def test_criterion_7_trace_cancellation(reference_run):
     diag = result.diagnostics
     budget = 1e-4 * diag["gain_l1"]
     assert abs(diag["trace_defect_g2"]) <= budget
-    # quadrature convergence: doubling n_t and n_k changes each term by less
-    # than its self-declared estimate
+    # quadrature convergence: doubling n_k changes each term by less than
+    # its self-declared estimate
     w0, params, t, quad, grid = (reference_run[k] for k in
                                  ("w0", "params", "t", "quad", "grid"))
-    fine = QuadratureSpec(n_t=2 * quad.n_t, n_k=2 * quad.n_k,
-                          k_max=quad.k_max, rel_tol=quad.rel_tol,
-                          scheme=quad.scheme)
+    fine = QuadratureSpec(n_k=2 * quad.n_k, k_max=quad.k_max,
+                          rel_tol=quad.rel_tol, scheme=quad.scheme)
     cell = grid.cell_volume
     for term in ("gain", "loss_left", "loss_right"):
         v1, rep = _diagram_with_report(term, w0, params, t, quad, "closed")
@@ -238,7 +237,7 @@ workers = {workers}
 
 def test_criterion_10_decoherence_smoke(cat_spec):
     params = ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=8.0)
-    quad = QuadratureSpec(n_t=12, n_k=24, k_max=8.0, rel_tol=1e-5)
+    quad = QuadratureSpec(n_k=24, k_max=8.0, rel_tol=1e-5)
     grid = balanced_grid(cat_spec, 128)
     w0 = make_initial_wigner(cat_spec, grid)
     nv0 = observables(w0).negativity_volume

@@ -31,11 +31,13 @@ def test_minimal_config_defaults(tmp_path):
 
 
 def test_config_error_aggregation():
-    bad = "mode = fly\nn_x = 33\ntimes = -1, 0.5\nstate.sigmma = 2\n"
+    bad = ("mode = fly\nn_x = 33\ntimes = -1, 0.5\nstate.sigmma = 2\n"
+           "quad.n_t = 16\n")
     with pytest.raises(ConfigError) as exc:
         parse_config(bad)
     msgs = "\n".join(exc.value.errors)
     assert "sigmma" in msgs and "state.sigma" in msgs   # nearest-key hint
+    assert "unknown key 'quad.n_t'" in msgs              # removed key
     assert "even" in msgs                                # grid invariant
     assert ">= 0" in msgs                                # times invariant
     assert "fly" in msgs

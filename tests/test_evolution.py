@@ -136,6 +136,92 @@ def test_separable_kernels_against_mpmath(sign):
                 assert abs(loss[i] - ref_loss) <= 8 * eps * abs(ref_loss)
 
 
+def _mp_f(b, d):
+    """Int_0^d (d - s) e^{i b s} ds."""
+    if b == 0 or d == 0:
+        return mpmath.mpf(d) ** 2 / 2
+    w = 1j * b * d
+    return d**2 * (mpmath.expm1(w) - w) / w**2
+
+
+@mpmath.workdps(40)
+def _mp_seg(b, s1, s2, power):
+    """Int_{s1}^{s2} s^power e^{i b s} ds (power 0 or 1)."""
+    b, s1, s2 = (mpmath.mpf(v) for v in (b, s1, s2))
+    d = s2 - s1
+    e0 = _mp_e0(b, d)
+    return mpmath.expj(b * s1) * (e0 if power == 0 else s2 * e0 - _mp_f(b, d))
+
+
+@mpmath.workdps(40)
+def _mp_window_loss(B, t, ta, tb):
+    ta, tb = max(ta, 0.0), min(tb, t)
+    if tb <= ta:
+        return mpmath.mpc(0)
+    B, t, ta, tb = (mpmath.mpf(v) for v in (B, t, ta, tb))
+    d = tb - ta
+    return mpmath.expj(B * ta) * ((t - tb) * _mp_e0(B, d) + _mp_f(B, d))
+
+
+@mpmath.workdps(40)
+def _mp_strip(b1, b2, t, lo, hi):
+    """The strip's s-integral on its parts in [0, t] and [t, 2t]."""
+    g = mpmath.mpf(b1) - mpmath.mpf(b2)
+    bbar = (mpmath.mpf(b1) + mpmath.mpf(b2)) / 2
+    total = mpmath.mpc(0)
+    a, c = min(max(lo, 0.0), t), min(max(hi, 0.0), t)
+    if c > a:
+        total += (_mp_seg(bbar, a, c, 1) if g == 0 else
+                  (_mp_seg(b1, a, c, 0) - _mp_seg(b2, a, c, 0)) / (1j * g))
+    a, c = min(max(lo, t), 2 * t), min(max(hi, t), 2 * t)
+    if c > a:
+        total += (2 * mpmath.mpf(t) * _mp_seg(bbar, a, c, 0) - _mp_seg(bbar, a, c, 1)
+                  if g == 0 else
+                  (mpmath.expj(g * t) * _mp_seg(b2, a, c, 0)
+                   - mpmath.expj(-g * t) * _mp_seg(b1, a, c, 0)) / (1j * g))
+    return total
+
+
+@pytest.mark.parametrize("sign", (+1.0, -1.0))
+def test_windowed_kernels_against_mpmath(sign):
+    """seg_e0, seg_e1, window_loss_integral and strip_gain_integral against
+    40-digit values of the same integrals.
+
+    The bound is 4 eps (1 + |beta| t) in units of each integral's size
+    (d, d t, d t and t^2 for a window of length d in [0, t] or a strip in
+    [0, 2t]): the error that rounding the phase beta s itself makes.  The
+    sweep covers |beta d| from 1e-12 to 1e3, beta = 0, both sides of the
+    |w| = 1 switch to the series, full, clipped and empty windows, and
+    strips with gamma = b1 - b2 = 0 (the degenerate branch) and |gamma t| of
+    order 1 or more (the strip's divided difference cancels for small
+    nonzero |gamma t|, so such phases are not in this sweep).
+    """
+    eps = np.finfo(float).eps
+    t = 0.7
+    w = np.concatenate([[0.0], np.logspace(-12, 3, 46),
+                        [1.0 - 1e-9, 1.0, 1.0 + 1e-9]])
+    for s1, s2 in ((0.0, t), (0.15, 0.55), (0.4, 0.4)):
+        d = s2 - s1
+        for beta in sign * w / (d if d > 0 else t):
+            unit = 4.0 * eps * (1.0 + abs(beta) * t)
+            assert abs(seg_e0(beta, s1, s2) - _mp_seg(beta, s1, s2, 0)) <= unit * d
+            assert abs(seg_e1(beta, s1, s2) - _mp_seg(beta, s1, s2, 1)) <= unit * d * t
+    for ta, tb in ((0.0, t), (0.15, 0.55), (-0.3, 0.4), (0.3, 1.2), (0.5, 0.2)):
+        d = max(min(tb, t) - max(ta, 0.0), 0.0)
+        for B in sign * w / (d if d > 0 else t):
+            ref = _mp_window_loss(B, t, ta, tb)
+            got = window_loss_integral(np.array(B), t, ta, tb)
+            assert abs(got - ref) <= 4.0 * eps * (1.0 + abs(B) * t) * d * t
+    for lo, hi in ((0.0, 2 * t), (-1.0, 9.0), (0.3, 0.9), (0.0, 0.5),
+                   (0.9, 1.4), (0.5, 0.3)):
+        for b1 in sign * w / t:
+            for b2 in (b1, b1 + 3.0 / t, b1 - 40.0 / t):
+                got = strip_gain_integral(np.array(b1), np.array(b2), t,
+                                          np.array(lo), np.array(hi))
+                bound = 4.0 * eps * (1.0 + (abs(b1) + abs(b2)) * t) * t * t
+                assert abs(got - _mp_strip(b1, b2, t, lo, hi)) <= bound, (b1, b2, lo, hi)
+
+
 # ---------------------------------------------------------------------------
 # mode representations
 # ---------------------------------------------------------------------------
@@ -263,8 +349,8 @@ def test_backends_agree_when_wrap_free(gentle_instance):
 def test_quadrature_convergence_report(gentle_instance):
     """Doubling n_k changes each term by less than its error estimate."""
     w0, params, t = (gentle_instance[k] for k in ("w0", "params", "t"))
-    base = QuadratureSpec(n_t=12, n_k=24, k_max=6.0, rel_tol=1e-4)
-    fine = QuadratureSpec(n_t=24, n_k=48, k_max=6.0, rel_tol=1e-4)
+    base = QuadratureSpec(n_k=24, k_max=6.0, rel_tol=1e-4)
+    fine = QuadratureSpec(n_k=48, k_max=6.0, rel_tol=1e-4)
     cell = gentle_instance["grid"].cell_volume
     for term in ("gain", "loss_left", "loss_right"):
         v1, rep = _diagram_with_report(term, w0, params, t, base, "grid")
@@ -279,7 +365,7 @@ def test_error_estimate_below_the_panel_floor(tiny_instance):
     estimate must still come from fewer panels, so it is nonzero and bounds
     the change that doubling n_k makes."""
     w0, params, quad = (tiny_instance[k] for k in ("w0", "params", "quad"))
-    fine = QuadratureSpec(n_t=12, n_k=2 * quad.n_k, k_max=quad.k_max,
+    fine = QuadratureSpec(n_k=2 * quad.n_k, k_max=quad.k_max,
                           rel_tol=quad.rel_tol)
     cell = tiny_instance["grid"].cell_volume
     t = 0.01
@@ -290,6 +376,28 @@ def test_error_estimate_below_the_panel_floor(tiny_instance):
         assert rep["panels"] == 2
         assert rep["rel_err_est"] > 0.0
         assert change <= rep["err_est"]
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_full_columns_from_the_extreme_x_nodes(d):
+    """A (p, k) column is full (every x stays in the box for the whole
+    window) exactly when the first and last x nodes of the product grid do,
+    so the diagram builds windows for the other columns only."""
+    rng = np.random.default_rng(3)
+    x = np.sort(rng.uniform(-3.0, 3.0, 5))
+    X = np.stack([g.ravel() for g in np.meshgrid(*([x] * d), indexing="ij")], -1)
+    xt = X[:, None, :] - rng.uniform(-2.0, 2.0, (7, d))[None] * 0.3
+    slopes = rng.normal(size=(11, d))
+    slopes[0] = 0.0
+    box = np.array([[-3.5, 3.2]] * d)
+
+    def full(rows):
+        lo, hi = evolution._windows(rows, slopes, box, 1.0)
+        return ((lo <= 0.0) & (hi >= 1.0)).all(axis=0)
+
+    every_x = full(xt)
+    assert 0 < every_x.sum() < every_x.size
+    assert np.array_equal(full(xt[[0, -1]]), every_x)
 
 
 def test_trace_chunks_do_not_change_the_trace(gentle_instance, monkeypatch):
