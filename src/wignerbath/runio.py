@@ -19,15 +19,11 @@ import numpy as np
 
 from . import __version__
 from .states import make_initial_wigner
-from .wigner import observables, wigner_from_density, density_from_wigner
+from .wigner import observables, marginals, wigner_from_density, density_from_wigner
 from .evolution import evolve, QuadratureSpec
 from .oracle import default_probes, certify_instance
 
 FMT = "%.17g"
-
-
-def _render(value):
-    return FMT % value
 
 
 def _atomic_write(path, data):
@@ -56,50 +52,51 @@ def _sha256(path):
     return h.hexdigest()
 
 
+def _render_all(values):
+    """Each value formatted with FMT, through Python floats."""
+    return [FMT % v for v in np.asarray(values, dtype=float).tolist()]
+
+
 def write_wigner_csv(w, path):
     """Grid CSV: one row per x node, columns are p nodes, coordinates in the
     header; flattened lexicographically for d > 1."""
     grid = w.grid
     d = grid.d
     vals = w.values.reshape(grid.n_x**d, grid.n_x**d)
-    p = grid.p_nodes
-    x = grid.x_nodes
-    lines = []
     if d == 1:
-        header = "x\\p," + ",".join(_render(v) for v in p)
+        header = "x\\p," + ",".join(_render_all(grid.p_nodes))
+        coords = _render_all(grid.x_nodes)
     else:
         header = "xflat\\pflat," + ",".join(str(i) for i in range(vals.shape[1]))
-    lines.append(header)
-    for i in range(vals.shape[0]):
-        coord = _render(x[i]) if d == 1 else str(i)
-        lines.append(coord + "," + ",".join(_render(v) for v in vals[i]))
+        coords = [str(i) for i in range(vals.shape[0])]
+    lines = [header]
+    for coord, row in zip(coords, vals.tolist()):
+        lines.append(coord + "," + ",".join([FMT % v for v in row]))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def emit_plot_data(w, stem):
     """Gnuplot-ready (x, p, W) triplets plus marginal curves (d = 1).
 
-    Byte-stable across reruns of the same configuration.
+    Byte-stable across reruns of the same configuration.  Each coordinate is
+    formatted once per node, not once per (x, p) pair.
     """
     grid = w.grid
     if grid.d != 1:
         raise ValueError("plot data emission is limited to d = 1")
-    x = grid.x_nodes
-    p = grid.p_nodes
+    xs = _render_all(grid.x_nodes)
+    ps = _render_all(grid.p_nodes)
     lines = []
-    for i in range(grid.n_x):
-        for j in range(grid.n_x):
-            lines.append(f"{_render(x[i])} {_render(p[j])} {_render(w.values[i, j])}")
+    for x, row in zip(xs, w.values.tolist()):
+        lines.extend([f"{x} {p} {FMT % v}" for p, v in zip(ps, row)])
         lines.append("")
     tri_path = stem + "_wigner.dat"
     _atomic_write(tri_path, "\n".join(lines) + "\n")
 
-    from .wigner import marginals
     pos, mom = marginals(w)
     lines = ["# x  position_marginal  p  momentum_marginal"]
-    for i in range(grid.n_x):
-        lines.append(f"{_render(x[i])} {_render(pos[i])} "
-                     f"{_render(p[i])} {_render(mom[i])}")
+    lines.extend(" ".join(cols) for cols in
+                 zip(xs, _render_all(pos), ps, _render_all(mom)))
     mar_path = stem + "_marginals.dat"
     _atomic_write(mar_path, "\n".join(lines) + "\n")
     return [tri_path, mar_path]
@@ -109,11 +106,20 @@ def _obs_payload(w):
     return observables(w).as_dict()
 
 
+def _reason(exc):
+    """A stage failure as recorded in the manifest: a ValueError (a rejected
+    input or a failed check) by its message, anything else prefixed with its
+    type, e.g. "MemoryError: ..."."""
+    if isinstance(exc, ValueError):
+        return str(exc)
+    return f"{type(exc).__name__}: {exc}"
+
+
 def run(config):
     """Execute one configuration; returns the manifest dictionary.
 
     Aborts after flushing a partial manifest (with the failure cause) if any
-    stage raises.
+    stage raises an Exception; KeyboardInterrupt and SystemExit propagate.
     """
     t_start = time.time()
     os.makedirs(config.out_dir, exist_ok=True)
@@ -144,8 +150,8 @@ def run(config):
     try:
         w0 = make_initial_wigner(config.initial, config.grid,
                                  boundary_tol=config.boundary_tol)
-    except ValueError as exc:
-        return finish(failed=f"initial state: {exc}")
+    except Exception as exc:
+        return finish(failed=f"initial state: {_reason(exc)}")
 
     try:
         if config.mode == "observables":
@@ -160,10 +166,11 @@ def run(config):
             path = os.path.join(config.out_dir, "wigner_t0.csv")
             write_wigner_csv(w_back, path)
             files.append(path)
+            trace = rho.trace()
             sidecar = {
                 "observables": _obs_payload(w_back),
                 "roundtrip_sup_error": float(np.max(np.abs(w_back.values - w0.values))),
-                "density_trace": [rho.trace().real, rho.trace().imag],
+                "density_trace": [trace.real, trace.imag],
                 "hermiticity_defect": rho.hermiticity_defect(),
             }
             path = os.path.join(config.out_dir, "wigner_t0.json")
@@ -224,7 +231,7 @@ def run(config):
             if not record["all_passed"]:
                 manifest["failures"].append("certification: oracle disagreement "
                                             "beyond tolerance")
-    except ValueError as exc:
-        return finish(failed=str(exc))
+    except Exception as exc:
+        return finish(failed=_reason(exc))
 
     return finish()

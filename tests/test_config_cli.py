@@ -176,3 +176,69 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     (tmp_path / "plain").write_text("x")
     assert (os.stat(path).st_mode & 0o777
             == os.stat(tmp_path / "plain").st_mode & 0o777)
+
+
+def _planted_wigner(d, n=8):
+    from wignerbath import PhaseSpaceGrid, WignerFunction
+    grid = PhaseSpaceGrid(d=d, n_x=n, dx=0.37, x_min=-1.3)
+    values = np.random.default_rng(d).standard_normal(grid.value_shape())
+    values.flat[:4] = (-0.0, 5e-324, 1e300, -1e-300)
+    return WignerFunction(grid=grid, t=0.0, values=values)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_wigner_csv_renders_each_value_exactly(tmp_path, d):
+    w = _planted_wigner(d)
+    n = w.grid.n_x ** d
+    flat = w.values.reshape(n, n)
+    if d == 1:
+        header = "x\\p," + ",".join("%.17g" % float(v) for v in w.grid.p_nodes)
+        coords = ["%.17g" % float(v) for v in w.grid.x_nodes]
+    else:
+        header = "xflat\\pflat," + ",".join(str(i) for i in range(n))
+        coords = [str(i) for i in range(n)]
+    rows = [c + "," + ",".join("%.17g" % float(flat[i, j]) for j in range(n))
+            for i, c in enumerate(coords)]
+    write_wigner_csv(w, str(tmp_path / "w.csv"))
+    assert (tmp_path / "w.csv").read_text() == "\n".join([header] + rows) + "\n"
+    assert rows[0].split(",")[1:5] == ["-0", "4.9406564584124654e-324",
+                                       "1.0000000000000001e+300", "-1e-300"]
+
+
+def test_plot_data_renders_each_value_exactly(tmp_path):
+    from wignerbath import marginals
+    w = _planted_wigner(1)
+    x, p = w.grid.x_nodes, w.grid.p_nodes
+
+    def f(v):
+        return "%.17g" % float(v)
+
+    tri = []
+    for i in range(len(x)):
+        tri += [f"{f(x[i])} {f(p[j])} {f(w.values[i, j])}" for j in range(len(p))]
+        tri.append("")
+    pos, mom = marginals(w)
+    mar = ["# x  position_marginal  p  momentum_marginal"]
+    mar += [f"{f(x[i])} {f(pos[i])} {f(p[i])} {f(mom[i])}" for i in range(len(x))]
+    paths = emit_plot_data(w, str(tmp_path / "t0"))
+    assert [os.path.basename(q) for q in paths] == ["t0_wigner.dat", "t0_marginals.dat"]
+    assert (tmp_path / "t0_wigner.dat").read_text() == "\n".join(tri) + "\n"
+    assert (tmp_path / "t0_marginals.dat").read_text() == "\n".join(mar) + "\n"
+    assert tri[0].split()[2] == "-0" and tri[2].split()[2] == "1.0000000000000001e+300"
+
+
+def test_partial_manifest_on_any_exception(tmp_path, monkeypatch):
+    import wignerbath.runio as runio
+
+    def exhausted(w):
+        raise MemoryError("cannot allocate 1.0 TiB")
+
+    monkeypatch.setattr(runio, "density_from_wigner", exhausted)
+    text = MINIMAL.format(out=tmp_path / "out") + "mode = transform\n"
+    manifest = run(parse_config(text))
+    assert manifest["failures"] == ["MemoryError: cannot allocate 1.0 TiB"]
+    on_disk = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert on_disk["failures"][0].startswith("MemoryError")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    assert main(["transform", "--config", str(cfg_path)]) == 1
