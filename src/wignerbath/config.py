@@ -21,9 +21,10 @@ reported together, not one at a time.
     state.p0     packet momentum
     state.sigma  packet width
     state.separation, state.phase   cat parameters
-    times        output times, strictly increasing, >= 0
-    quad.n_k, quad.k_max, quad.rel_tol
-    quad.scheme  gauss-legendre (the only scheme)
+    times        output times, at least one, strictly increasing, >= 0
+    quad.n_k     Gauss-Legendre nodes per k panel (>= 16)
+    quad.k_max   k cutoff (0 = lambda_uv; must not exceed lambda_uv)
+    quad.rel_tol tolerance on each term's error estimate
     out.dir      output directory
     out.plot_data  true | false  (gnuplot triplet files)
     workers      worker threads for the diagram evaluations
@@ -40,14 +41,6 @@ from .grids import PhaseSpaceGrid
 from .propagators import ModelParams
 from .states import InitialStateSpec, balanced_grid
 from .evolution import QuadratureSpec
-
-_KNOWN_KEYS = [
-    "mode", "d", "n_x", "dx", "x_min", "m_s", "m_e", "g", "t_env",
-    "lambda_uv", "state.kind", "state.x0", "state.p0", "state.sigma",
-    "state.separation", "state.phase", "times", "quad.n_k",
-    "quad.k_max", "quad.rel_tol", "quad.scheme", "out.dir", "out.plot_data",
-    "workers", "backend", "boundary_tol",
-]
 
 _DEFAULTS = {
     "mode": "evolve",
@@ -68,13 +61,15 @@ _DEFAULTS = {
     "quad.n_k": "24",
     "quad.k_max": "0",
     "quad.rel_tol": "1e-6",
-    "quad.scheme": "gauss-legendre",
     "out.dir": "out",
     "out.plot_data": "true",
     "workers": "1",
     "backend": "auto",
     "boundary_tol": "1e-7",
 }
+
+# dx and x_min have no default: leaving them out picks the balanced grid
+_KNOWN_KEYS = [*_DEFAULTS, "dx", "x_min"]
 
 MODES = ("transform", "evolve", "observables", "certify")
 
@@ -112,7 +107,7 @@ def parse_config(text, overrides=None):
     every violated invariant, not just the first."""
     errors = []
     raw = dict(_DEFAULTS)
-    explicit = set()
+    pairs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -120,22 +115,16 @@ def parse_config(text, overrides=None):
         if "=" not in stripped:
             errors.append(f"line {lineno}: expected 'key = value', got {stripped!r}")
             continue
-        key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KNOWN_KEYS:
-            near = difflib.get_close_matches(key, _KNOWN_KEYS, n=1)
-            hint = f" (did you mean {near[0]!r}?)" if near else ""
-            errors.append(f"line {lineno}: unknown key {key!r}{hint}")
+        pairs.append((f"line {lineno}",
+                      *(part.strip() for part in stripped.split("=", 1))))
+    pairs += [("override", key, value) for key, value in (overrides or {}).items()]
+    for where, key, value in pairs:
+        if key in _KNOWN_KEYS:
+            raw[key] = value
             continue
-        raw[key] = value
-        explicit.add(key)
-    for key, value in (overrides or {}).items():
-        if key not in _KNOWN_KEYS:
-            near = difflib.get_close_matches(key, _KNOWN_KEYS, n=1)
-            hint = f" (did you mean {near[0]!r}?)" if near else ""
-            errors.append(f"override: unknown key {key!r}{hint}")
-            continue
-        raw[key] = value
-        explicit.add(key)
+        near = difflib.get_close_matches(key, _KNOWN_KEYS, n=1)
+        hint = f" (did you mean {near[0]!r}?)" if near else ""
+        errors.append(f"{where}: unknown key {key!r}{hint}")
 
     def grab(key, conv, desc):
         try:
@@ -172,10 +161,6 @@ def parse_config(text, overrides=None):
     backend = raw["backend"]
     if backend not in ("auto", "grid", "closed"):
         errors.append(f"backend: {backend!r} is not auto/grid/closed")
-    scheme = raw["quad.scheme"]
-    if scheme != "gauss-legendre":
-        errors.append(f"quad.scheme: {scheme!r} is not supported; "
-                      "the only scheme is 'gauss-legendre'")
 
     model = initial = grid = quad = None
     if d is not None and x0 is not None and len(x0) == 1 and d == 3:
@@ -194,12 +179,14 @@ def parse_config(text, overrides=None):
                                        sigma=sigma, separation=sep, phase=phase)
         except ValueError as exc:
             errors.append(f"state: {exc}")
-    if None not in (n_k, k_max, rel_tol) and scheme == "gauss-legendre":
+    if None not in (n_k, k_max, rel_tol):
         try:
-            quad = QuadratureSpec(n_k=n_k, k_max=k_max, rel_tol=rel_tol,
-                                  scheme=scheme)
+            quad = QuadratureSpec(n_k=n_k, k_max=k_max, rel_tol=rel_tol)
         except ValueError as exc:
             errors.append(f"quad: {exc}")
+    if None not in (k_max, lam) and k_max > lam > 0.0:
+        errors.append(f"quad.k_max: {raw['quad.k_max']} exceeds the UV cutoff "
+                      f"lambda_uv = {raw['lambda_uv']}")
     if initial is not None and n_x is not None:
         try:
             if "dx" in raw or "x_min" in raw:
@@ -213,6 +200,8 @@ def parse_config(text, overrides=None):
         except (TypeError, ValueError) as exc:
             errors.append(f"grid: {exc}")
     if times is not None:
+        if not times:
+            errors.append("times: at least one output time is required")
         if any(t < 0 for t in times):
             errors.append("times: all output times must be >= 0")
         if any(b <= a for a, b in zip(times, times[1:])):

@@ -83,6 +83,8 @@ from .states import InitialStateSpec, sample_closed, wigner_atoms
 from .propagators import bose_occupation, gauss_panels
 
 SUPPORT_TOL = 1e-9        # relative mass threshold for the shear support check
+CLOSED_DECAY = 8.9        # closed modes: Gaussian widths kept around each atom
+CLOSED_PAD = 3.0          # closed modes: extra widths of period beyond that
 SMALL_PHASE = 1e-5        # |gamma|*2t below which the strip takes gamma = 0
 COEF_TRUNC = 1e-19        # closed-form mode coefficient truncation
 PHASE_PER_PANEL = 24.0    # analytic phase (radians) covered by one k panel
@@ -227,16 +229,17 @@ def _loss_split(ea, ec, b, t):
 class QuadratureSpec:
     """Controls for the numerical momentum-transfer integral.
 
-    There is no time quadrature to control: the fast path integrates time
-    analytically and reports it as exact, and the certification oracle sizes
-    its time quadrature with its own n_lambda and n_inner.  k_max = 0 means
-    "use the model's UV cutoff".
+    The k rule is always composite Gauss-Legendre with n_k nodes per panel;
+    a term converged when its error estimate is within rel_tol.  k_max = 0
+    means "use the model's UV cutoff".  There is no time quadrature to
+    control: the fast path integrates time analytically and reports it as
+    exact, and the certification oracle sizes its time quadrature with its
+    own n_lambda and n_inner.
     """
 
     n_k: int = 24
     k_max: float = 0.0
     rel_tol: float = 1e-6
-    scheme: str = "gauss-legendre"
 
     def __post_init__(self):
         if self.n_k < 16:
@@ -245,9 +248,6 @@ class QuadratureSpec:
             raise ValueError("k_max must be >= 0 (0 selects the UV cutoff)")
         if self.rel_tol <= 0.0:
             raise ValueError("rel_tol must be positive")
-        if self.scheme != "gauss-legendre":
-            raise ValueError(f"scheme {self.scheme!r} is not supported; "
-                             "the only scheme is 'gauss-legendre'")
 
     def resolved_k_max(self, params):
         k = self.k_max if self.k_max > 0.0 else params.lambda_uv
@@ -275,7 +275,9 @@ class ModeRep:
         return float(np.max(np.abs(self.u))) if self.u.size else 0.0
 
 
-def _tensor_freqs(per_axis):
+def _tensor_points(per_axis):
+    """Every point of the tensor grid of the per-axis values, one per row,
+    the first axis slowest."""
     grids = np.meshgrid(*per_axis, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
 
@@ -290,8 +292,8 @@ def modes_from_grid(w0):
         c, freqs = mode_coefficients(c, axis=ax)
     du = 2.0 * np.pi / (n * grid.dx)
     ds = 2.0 * np.pi / (n * grid.dp)
-    u = _tensor_freqs([freqs * du] * d)
-    s = _tensor_freqs([freqs * ds] * d)
+    u = _tensor_points([freqs * du] * d)
+    s = _tensor_points([freqs * ds] * d)
     m_per = n + 1
     coef = c.reshape(m_per**d, m_per**d).copy()
     p_min = grid.p_nodes[0]
@@ -303,7 +305,7 @@ def modes_from_grid(w0):
     return ModeRep(u=u, s=s, coef=coef, x_box=x_box, q_box=q_box)
 
 
-def modes_from_closed(spec, decay=8.9, pad=3.0, x_reach=None):
+def modes_from_closed(spec, x_reach=None):
     """Exact Fourier coefficients of a closed-form state on a private box.
 
     The position period covers `x_reach` (how far from the packet center the
@@ -319,14 +321,14 @@ def modes_from_closed(spec, decay=8.9, pad=3.0, x_reach=None):
     sep = np.zeros(d)
     sep[0] = spec.separation
 
-    r_x = decay * sig * np.ones(d) + np.abs(sep) / 2.0
-    r_q = (decay / (2.0 * sig)) * np.ones(d)
+    r_x = CLOSED_DECAY * sig * np.ones(d) + np.abs(sep) / 2.0
+    r_q = (CLOSED_DECAY / (2.0 * sig)) * np.ones(d)
     if x_reach is not None:
         r_x = np.maximum(r_x, float(x_reach))
-    l_x = 2.0 * (r_x + pad * sig)
-    l_q = 2.0 * (r_q + pad / (2.0 * sig))
-    u_cut = decay / sig
-    s_cut = decay * 2.0 * sig + float(np.max(np.abs(sep)))
+    l_x = 2.0 * (r_x + CLOSED_PAD * sig)
+    l_q = 2.0 * (r_q + CLOSED_PAD / (2.0 * sig))
+    u_cut = CLOSED_DECAY / sig
+    s_cut = CLOSED_DECAY * 2.0 * sig + float(np.max(np.abs(sep)))
 
     axes_u, axes_s = [], []
     for ax in range(d):
@@ -336,8 +338,8 @@ def modes_from_closed(spec, decay=8.9, pad=3.0, x_reach=None):
         dsl = 2.0 * np.pi / l_q[ax]
         lmax = int(np.ceil(s_cut / dsl))
         axes_s.append(dsl * np.arange(-lmax, lmax + 1))
-    u = _tensor_freqs(axes_u)
-    s = _tensor_freqs(axes_s)
+    u = _tensor_points(axes_u)
+    s = _tensor_points(axes_s)
 
     coef = np.zeros((u.shape[0], s.shape[0]), dtype=complex)
     for camp, xc, pc, kappa in wigner_atoms(spec):
@@ -389,14 +391,8 @@ def _k_nodes(params, quad, t, u_max, p_scale, panel_factor=1.0):
     panels = int(max(np.ceil(2.0 * panel_factor),
                      np.ceil(panel_factor * phase / PHASE_PER_PANEL)))
     nodes1, w1 = gauss_panels(-k_max, k_max, quad.n_k, panels)
-    d = params.d
-    if d == 1:
-        return nodes1[:, None], w1, panels
-    grids = np.meshgrid(*([nodes1] * d), indexing="ij")
-    k = np.stack([g.ravel() for g in grids], axis=-1)
-    w = np.ones(k.shape[0])
-    for g in np.meshgrid(*([w1] * d), indexing="ij"):
-        w = w * g.ravel()
+    k = _tensor_points([nodes1] * params.d)
+    w = np.prod(_tensor_points([w1] * params.d), axis=-1)
     mask = np.sum(k**2, axis=-1) <= k_max**2
     return k[mask], w[mask], panels
 
@@ -404,18 +400,6 @@ def _k_nodes(params, quad, t, u_max, p_scale, panel_factor=1.0):
 # ---------------------------------------------------------------------------
 # diagram evaluators
 # ---------------------------------------------------------------------------
-
-def _phase_grids(grid):
-    d, n = grid.d, grid.n_x
-    x = grid.x_nodes
-    p = grid.p_nodes
-    if d == 1:
-        return x[:, None], p[:, None]
-    gx = np.meshgrid(*([x] * d), indexing="ij")
-    gp = np.meshgrid(*([p] * d), indexing="ij")
-    return (np.stack([g.ravel() for g in gx], axis=-1),
-            np.stack([g.ravel() for g in gp], axis=-1))
-
 
 def _thermal_branches(omega, params):
     """Frequency-sign branches with Bose weights: [(+1, 1+n), (-1, n)]."""
@@ -465,7 +449,8 @@ def _diagram_core(term, modes, grid, params, t, quad, panel_factor=1.0):
     """
     d = params.d
     m = params.m_s
-    X, P = _phase_grids(grid)
+    X = _tensor_points([grid.x_nodes] * d)                   # (Nx, d)
+    P = _tensor_points([grid.p_nodes] * d)                   # (Np, d)
     nx, npts = X.shape[0], P.shape[0]
     M, L = modes.coef.shape
 
@@ -685,7 +670,7 @@ def diagram_loss_right(w0, params, t, quad, backend="auto"):
 # zeroth order and assembly
 # ---------------------------------------------------------------------------
 
-def evolve_zeroth(w0, params, t, support_tol=SUPPORT_TOL):
+def evolve_zeroth(w0, params, t):
     """Ballistic shear W0(x - p t/m, p) by exact spectral shifts per p node.
 
     Rejects evolutions whose occupied support would cross the box boundary
@@ -706,7 +691,7 @@ def evolve_zeroth(w0, params, t, support_tol=SUPPORT_TOL):
     vals = w0.values
     peak = float(np.max(np.abs(vals)))
 
-    mask = np.abs(vals) > support_tol * peak
+    mask = np.abs(vals) > SUPPORT_TOL * peak
     for axis in range(d):
         occ = mask.any(axis=tuple(i for i in range(2 * d)
                                   if i not in (axis, d + axis)))

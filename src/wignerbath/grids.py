@@ -47,16 +47,6 @@ class PhaseSpaceGrid:
         return (np.arange(self.n_x) - self.n_x // 2) * self.dp
 
     @property
-    def x_period(self):
-        """Length of the periodic position box along one axis."""
-        return self.n_x * self.dx
-
-    @property
-    def p_period(self):
-        """Length of the periodic momentum box along one axis."""
-        return self.n_x * self.dp
-
-    @property
     def cell_volume(self):
         """Phase-space volume element dx^d * dp^d."""
         return (self.dx * self.dp) ** self.d

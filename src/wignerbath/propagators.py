@@ -24,6 +24,7 @@ import numpy as np
 
 _EXP_CUT = 700.0  # exp underflow guard for Bose factors
 _AMP_BYTES = 1 << 23  # largest complex (batch, k chunk) array in wightman_amp
+_AMP_NODES = 24       # Gauss-Legendre nodes per k panel in wightman_amp
 
 
 @dataclass(frozen=True)
@@ -117,13 +118,14 @@ def legendre_rule(n):
     return base_x, base_w
 
 
-def gauss_panels(lo, hi, n_per_panel, n_panels):
-    """Composite Gauss-Legendre nodes/weights on [lo, hi].
+def gauss_panels(lo, hi, n_nodes, n_panels):
+    """Composite Gauss-Legendre nodes/weights on [lo, hi]: n_nodes on each
+    of n_panels equal panels.
 
     lo and hi may be arrays (broadcast together); the rules then stack
     along a last axis, each row as the scalar call would build it.
     """
-    base_x, base_w = legendre_rule(n_per_panel)
+    base_x, base_w = legendre_rule(n_nodes)
     edges = np.linspace(lo, hi, n_panels + 1, axis=-1)
     half = 0.5 * (edges[..., 1:] - edges[..., :-1])
     mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
@@ -141,7 +143,7 @@ def bose_occupation(omega, t_env):
     return 1.0 / np.expm1(arg)
 
 
-def wightman_amp(dt, dx, params, n_per_panel=24):
+def wightman_amp(dt, dx, params):
     """<phi(1) phi(2)> for separations dt = t1 - t2, dx = x1 - x2 (vectorized).
 
     Spectral form with the hard cutoff |k| <= lambda_uv:
@@ -164,8 +166,8 @@ def wightman_amp(dt, dx, params, n_per_panel=24):
         r = np.sqrt(np.sum(dx**2, axis=-1))
     # deterministic panel count from the largest phase across the batch
     phase = lam * (float(np.max(np.abs(dt), initial=0.0)) + float(np.max(r, initial=0.0)) + 1.0)
-    panels = max(8, int(np.ceil(phase / (2.0 * n_per_panel))))
-    k, w = gauss_panels(0.0, lam, n_per_panel, panels)
+    panels = max(8, int(np.ceil(phase / (2.0 * _AMP_NODES))))
+    k, w = gauss_panels(0.0, lam, _AMP_NODES, panels)
     omega = np.sqrt(k**2 + params.m_e**2)
     occ = bose_occupation(omega, params.t_env)
 
@@ -186,7 +188,7 @@ def wightman_amp(dt, dx, params, n_per_panel=24):
     return total / (2.0 * np.pi if params.d == 1 else 4.0 * np.pi**2)
 
 
-def env_wightman(a, b, params, n_per_panel=24):
+def env_wightman(a, b, params):
     """Fixed-order bath propagator Delta^<_{ab} = <phi(b) phi(a)>."""
     if not np.isfinite(params.lambda_uv):
         raise ValueError("the bath propagator is UV divergent without a finite cutoff")
@@ -195,18 +197,18 @@ def env_wightman(a, b, params, n_per_panel=24):
         dx = b.x[0] - a.x[0]
     else:
         dx = np.array(b.x) - np.array(a.x)
-    return complex(np.ravel(wightman_amp(np.array(dt), dx, params, n_per_panel))[0])
+    return complex(np.ravel(wightman_amp(np.array(dt), dx, params))[0])
 
 
-def env_feynman(a, b, params, n_per_panel=24):
+def env_feynman(a, b, params):
     """Time-ordered bath propagator."""
     if a.t >= b.t:
-        return env_wightman(b, a, params, n_per_panel)
-    return env_wightman(a, b, params, n_per_panel)
+        return env_wightman(b, a, params)
+    return env_wightman(a, b, params)
 
 
-def env_dyson(a, b, params, n_per_panel=24):
+def env_dyson(a, b, params):
     """Anti-time-ordered bath propagator."""
     if a.t >= b.t:
-        return env_wightman(a, b, params, n_per_panel)
-    return env_wightman(b, a, params, n_per_panel)
+        return env_wightman(a, b, params)
+    return env_wightman(b, a, params)

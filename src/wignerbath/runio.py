@@ -13,14 +13,13 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import __version__
 from .states import make_initial_wigner
 from .wigner import observables, marginals, wigner_from_density, density_from_wigner
-from .evolution import evolve, QuadratureSpec
+from .evolution import evolve
 from .oracle import default_probes, certify_instance
 
 FMT = "%.17g"

@@ -180,15 +180,14 @@ def sample_closed(spec, grid, shear=0.0):
     return wigner_closed(spec, x, p)
 
 
-def make_initial_wigner(spec, grid, boundary_tol=BOUNDARY_TOL, norm_tol=None):
+def make_initial_wigner(spec, grid, boundary_tol=BOUNDARY_TOL):
     """Sample the closed-form Wigner function on a grid.
 
     Rejects states whose tails at the box boundary exceed `boundary_tol`
     relative to the peak, naming the offending node in the diagnostic.  The
-    norm check follows the declared boundary tolerance unless overridden.
+    norm must be 1 within max(NORM_TOL, 10 boundary_tol).
     """
-    if norm_tol is None:
-        norm_tol = max(NORM_TOL, 10.0 * boundary_tol)
+    norm_tol = max(NORM_TOL, 10.0 * boundary_tol)
     vals = sample_closed(spec, grid)
     d, n = grid.d, grid.n_x
     peak = float(np.max(np.abs(vals)))

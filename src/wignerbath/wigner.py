@@ -29,7 +29,7 @@ anti-diagonal a + b of the half-node grid is one length-2n FFT in p, read
 at (b - a) mod 2n (see `_density_pair`); no (n, n, n) array is formed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -199,14 +199,14 @@ def _density_pair(arr, n, dp):
     return g[..., a[:, None] + a[None, :], delta % (2 * n)] * phase
 
 
-def wigner_from_density(rho, grid, hermiticity_tol=DEFAULT_HERMITICITY_TOL,
-                        imag_tol=DEFAULT_IMAG_TOL):
+def wigner_from_density(rho, grid):
     """Wigner transform of a gridded density matrix.
 
     The z-integral is carried out exactly for the band-limited interpolant of
-    rho along every anti-diagonal.  Rejects non-Hermitian input and checks
-    that the imaginary residue of the result is below `imag_tol` (relative to
-    the largest value) before discarding it.
+    rho along every anti-diagonal.  Rejects input whose Hermiticity defect
+    exceeds DEFAULT_HERMITICITY_TOL and checks that the imaginary residue of
+    the result is below DEFAULT_IMAG_TOL, both relative to the largest value,
+    before discarding it.
     """
     if not isinstance(rho, DensityMatrix):
         raise TypeError("rho must be a DensityMatrix")
@@ -214,10 +214,11 @@ def wigner_from_density(rho, grid, hermiticity_tol=DEFAULT_HERMITICITY_TOL,
         raise ValueError("density matrix grid does not match the requested grid")
     scale = max(float(np.max(np.abs(rho.values))), 1e-300)
     defect = rho.hermiticity_defect()
-    if defect > hermiticity_tol * scale:
+    bound = DEFAULT_HERMITICITY_TOL * scale
+    if defect > bound:
         raise ValueError(
             f"density matrix is not Hermitian: defect {defect:.3e} exceeds "
-            f"{hermiticity_tol:.1e} * max|rho| = {hermiticity_tol * scale:.3e}"
+            f"{DEFAULT_HERMITICITY_TOL:.1e} * max|rho| = {bound:.3e}"
         )
 
     d, n = grid.d, grid.n_x
@@ -229,10 +230,10 @@ def wigner_from_density(rho, grid, hermiticity_tol=DEFAULT_HERMITICITY_TOL,
 
     w_scale = max(float(np.max(np.abs(vals))), 1e-300)
     residue = float(np.max(np.abs(vals.imag)))
-    if residue > imag_tol * w_scale:
+    if residue > DEFAULT_IMAG_TOL * w_scale:
         raise ValueError(
             f"Wigner transform imaginary residue {residue:.3e} exceeds "
-            f"{imag_tol:.1e} * max|W|; input inconsistent"
+            f"{DEFAULT_IMAG_TOL:.1e} * max|W|; input inconsistent"
         )
     return WignerFunction(grid=grid, t=rho.t, values=vals.real, normalized=False)
 

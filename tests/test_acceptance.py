@@ -193,7 +193,7 @@ def test_criterion_7_trace_cancellation(reference_run):
     w0, params, t, quad, grid = (reference_run[k] for k in
                                  ("w0", "params", "t", "quad", "grid"))
     fine = QuadratureSpec(n_k=2 * quad.n_k, k_max=quad.k_max,
-                          rel_tol=quad.rel_tol, scheme=quad.scheme)
+                          rel_tol=quad.rel_tol)
     cell = grid.cell_volume
     for term in ("gain", "loss_left", "loss_right"):
         v1, rep = _diagram_with_report(term, w0, params, t, quad, "closed")

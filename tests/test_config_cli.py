@@ -1,10 +1,14 @@
 import json
 import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from wignerbath import QuadratureSpec
+from wignerbath import config as config_module
 from wignerbath.config import parse_config, ConfigError
 from wignerbath.runio import run, write_wigner_csv, emit_plot_data, _atomic_write
 from wignerbath.cli import main
@@ -26,18 +30,18 @@ def test_minimal_config_defaults(tmp_path):
     assert cfg.mode == "evolve"
     assert cfg.grid.n_x == 32
     assert cfg.model.m_s == 1.0
-    assert cfg.quad.scheme == "gauss-legendre"
     assert cfg.initial.kind == "gaussian"
 
 
 def test_config_error_aggregation():
     bad = ("mode = fly\nn_x = 33\ntimes = -1, 0.5\nstate.sigmma = 2\n"
-           "quad.n_t = 16\n")
+           "quad.n_t = 16\nquad.scheme = gauss-legendre\n")
     with pytest.raises(ConfigError) as exc:
         parse_config(bad)
     msgs = "\n".join(exc.value.errors)
     assert "sigmma" in msgs and "state.sigma" in msgs   # nearest-key hint
     assert "unknown key 'quad.n_t'" in msgs              # removed key
+    assert "unknown key 'quad.scheme'" in msgs           # removed key
     assert "even" in msgs                                # grid invariant
     assert ">= 0" in msgs                                # times invariant
     assert "fly" in msgs
@@ -45,13 +49,29 @@ def test_config_error_aggregation():
 
 
 def test_trapezoid_scheme_rejected():
+    # Gauss-Legendre is the only k rule, so there is no scheme to choose
     with pytest.raises(ConfigError) as exc:
         parse_config("quad.scheme = trapezoid\n")
-    assert exc.value.errors == [
-        "quad.scheme: 'trapezoid' is not supported; the only scheme is "
-        "'gauss-legendre'"]
-    with pytest.raises(ValueError, match="the only scheme"):
+    assert exc.value.errors == ["line 1: unknown key 'quad.scheme'"]
+    with pytest.raises(TypeError, match="scheme"):
         QuadratureSpec(scheme="trapezoid")
+
+
+def test_every_key_is_documented():
+    doc = config_module.__doc__
+    for key in config_module._KNOWN_KEYS:
+        assert re.search(rf"(?<![\w.]){re.escape(key)}(?![\w.])", doc), key
+
+
+def test_cli_does_not_import_scipy_integrate():
+    # only the oracle's quadratures use it, and they import it when called
+    code = ("import sys, wignerbath.cli, wignerbath.runio; "
+            "print('scipy.integrate' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(config_module.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_negative_time_rejected():
@@ -150,6 +170,10 @@ def test_cli_exit_codes(tmp_path):
     assert main(["evolve", "--config", str(tmp_path / "missing.cfg")]) == 2
     cfg_path.write_text(MINIMAL.format(out=tmp_path / "out2") + "n_x = 33\n")
     assert main(["evolve", "--config", str(cfg_path)]) == 2
+    # no output time, or a k cutoff above lambda_uv, is a config error
+    for bad in ("times =\n", "times = ,\n", "quad.k_max = 8.0\n"):
+        cfg_path.write_text(MINIMAL.format(out=tmp_path / "out4") + bad)
+        assert main(["evolve", "--config", str(cfg_path)]) == 2, bad
     # override path
     cfg_path.write_text(MINIMAL.format(out=tmp_path / "out3"))
     assert main(["observables", "--config", str(cfg_path),
