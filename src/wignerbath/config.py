@@ -21,7 +21,7 @@ reported together, not one at a time.
     state.p0     packet momentum
     state.sigma  packet width
     state.separation, state.phase   cat parameters
-    times        output times, at least one, strictly increasing, >= 0
+    times        output times >= 0, strictly increasing; one or more (one to certify)
     quad.n_k     Gauss-Legendre nodes per k panel (>= 16)
     quad.k_max   k cutoff (0 = lambda_uv; must not exceed lambda_uv)
     quad.rel_tol tolerance on each term's error estimate
@@ -206,6 +206,8 @@ def parse_config(text, overrides=None):
             errors.append("times: all output times must be >= 0")
         if any(b <= a for a, b in zip(times, times[1:])):
             errors.append("times: output times must be strictly increasing")
+        if mode == "certify" and len(times) > 1:
+            errors.append(f"times: certify mode takes one output time, got {len(times)}")
     if workers is not None and workers < 1:
         errors.append("workers: must be >= 1")
     if boundary_tol is not None and boundary_tol <= 0:

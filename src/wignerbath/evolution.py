@@ -35,8 +35,8 @@ exactly.  A thermal bath splits each frequency phase into Bose-weighted
 (1 + n, n) branches.  The summary above is the derivation's only write-up.
 
 Time kernels.  Every closed-form time integral is built on one pair of
-primitives, each taken from its power series in w = ibd where |w| < 1
-(`_time_kernel`):
+primitives on complex expm1, F from its power series in w = ibd where
+|w| < 1, where expm1(w) - w cancels (`_e0`, `_f`):
 
     E0(b, d) = Int_0^d e^{ibs} ds          = expm1(w)/(ib)
     F(b, d)  = Int_0^d (d - s) e^{ibs} ds  = d^2 (expm1(w) - w)/w^2.
@@ -48,13 +48,16 @@ of e^{ibs} and e^{ib s1} (s2 E0 - F) that of s e^{ibs} (`seg_e0`,
 (`window_loss_integral`) and the gain's strip in s = t1 + t2 four `seg_e0`
 terms (`strip_gain_integral`).  An empty window has d = 0, hence value 0.
 
-Separable kernels.  Every phase above is a(p, k) + c(u_j, k) with
-c = -+u_j.k/2m, so on the full window expm1(i(a + c)t) needs exponentials
-of the (N_p, K) and (M, K) factors only, combined by expm1(x + y) =
-expm1(x) expm1(y) + expm1(x) + expm1(y) and handed to the primitives
-(`_gain_split`, `_loss_split`), whose series take over where this cancels.
-The transcendental cost per k chunk is thus O((M + N_p) K) instead of
-O(M N_p K); gq_j(p + k) likewise uses e^{i s.(p+k)} = e^{i s.p} e^{i s.k}.
+q-lattice tables.  The full-window phases depend on (p, u_j) only through
+q+- = p +- u_j/2: beta1 = b(q+), beta2 = -b(q-) with
+b(q) = -(q.k/m + k^2/2m - w_k), and B = B(q+), B~ = -B(q-) with
+B(q) = q.k/m - k^2/2m - w_k.  p lies on the lattice dp and u_j/2 on dp/R
+(the closed backend aligns its period to make it so), so per k chunk the
+kernels are tabulated from plain expm1 on the N_q ~ M + R N_p lattice
+momenta (d = 1), not 2 M N_p, and gathered (`_q_lattice`): the gain's
+I = E0(b(q+)) conj(E0(b(q-))), as E0(-b) = conj(E0(b)); a loss's F summed
+over k first.  gq_j(p + k) uses e^{i s.(p+k)} = e^{i s.p} e^{i s.k}, and
+the projection onto x runs once per term.
 
 loss_right is the complex conjugate of loss_left (B~ = -B once u_j -> -u_j,
 and the coefficients of a real W0 satisfy c_{-j,-l} = conj(c_{jl})), so
@@ -100,41 +103,37 @@ _TRACE_BYTES = 1 << 24    # cap for one trace chunk's (L, nodes, p nodes) phases
 _INV_FACT = 1.0 / np.array([math.factorial(n) for n in range(20)])
 
 
-def _time_kernel(b, d, k, em1=None):
-    """Int_0^d (d - s)^(k-1)/(k-1)! e^{ibs} ds = d^k sum_n w^n/(n+k)! with
-    w = ibd, for k = 1 (E0) and k = 2 (F).
-
-    Where |w| >= 1 it is (expm1(w) - sum_{0<n<k} w^n/n!)/(ib)^k, from
-    em1 = expm1(w), which is computed unless given: a caller may combine it
-    from split phase factors (`_expm1_sum`), which cancel where |w| < 1, so
-    there the series is always used.
-    """
+def _e0(b, d, em1=None):
+    """E0(b, d) = Int_0^d e^{ibs} ds = expm1(ibd)/(ib), d at b = 0, from
+    em1 = expm1(ibd) when given.  Complex expm1 keeps full relative accuracy
+    for small |bd|, so E0 needs no series."""
     b = np.asarray(b, dtype=float)
-    bd = np.asarray(b * d)
-    out = np.asarray(np.expm1(1j * bd)) if em1 is None else np.array(em1)
-    if k == 2:
-        out.imag -= bd
+    out = np.asarray(np.expm1(1j * (b * d)) if em1 is None else np.array(em1))
+    out *= -1j
     with np.errstate(divide="ignore", invalid="ignore"):
-        out *= (-1j) ** k
-        out /= b ** k
-    near = np.abs(bd) < 1.0
-    w = 1j * bd[near]
-    series = np.full(w.shape, _INV_FACT[-1], dtype=complex)
-    for c in _INV_FACT[-2:k - 1:-1]:
-        series *= w
-        series += c
-    out[near] = np.broadcast_to(d, near.shape)[near] ** k * series
+        out /= b
+    np.copyto(out, np.broadcast_to(d, out.shape), where=b == 0.0)
     return out
 
 
-def _e0(b, d, em1=None):
-    """E0(b, d) = Int_0^d e^{ibs} ds = expm1(ibd)/(ib) (d at b = 0)."""
-    return _time_kernel(b, d, 1, em1)
-
-
 def _f(b, d, em1=None):
-    """F(b, d) = Int_0^d (d - s) e^{ibs} ds = d^2 (expm1(w) - w)/w^2, w = ibd."""
-    return _time_kernel(b, d, 2, em1)
+    """F(b, d) = Int_0^d (d - s) e^{ibs} ds = d^2 (expm1(w) - w)/w^2 with
+    w = ibd, from em1 = expm1(w) when given; where |w| < 1 that difference
+    cancels, so F is d^2 sum_n w^n/(n+2)! there."""
+    b = np.asarray(b, dtype=float)
+    bd = np.asarray(b * d)
+    out = np.asarray(np.expm1(1j * bd) if em1 is None else np.array(em1))
+    out.imag -= bd
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out /= -(b * b)
+    near = np.abs(bd) < 1.0
+    w = 1j * bd[near]
+    series = np.full(w.shape, _INV_FACT[-1], dtype=complex)
+    for c in _INV_FACT[-2:1:-1]:
+        series *= w
+        series += c
+    out[near] = np.broadcast_to(d, near.shape)[near] ** 2 * series
+    return out
 
 
 def seg_e0(beta, s1, s2):
@@ -197,28 +196,6 @@ def strip_gain_integral(b1, b2, t, s_lo, s_hi):
         out[small] = (seg_e1(bbar, a1, c1) + 2.0 * t * seg_e0(bbar, a2, c2)
                       - seg_e1(bbar, a2, c2))
     return out
-
-
-def _expm1_sum(ea, ec):
-    """expm1(x + y) from ea = expm1(x) and ec = expm1(y)."""
-    out = np.asarray(ea * ec)
-    out += ea
-    out += ec
-    return out
-
-
-def _gain_split(ea, ec, b1, b2, t):
-    """E0(b1, t) E0(b2, t) for b1 = a + c and b2 = -a + c (all real), from
-    ea = expm1(i a t) and ec = expm1(i c t): the exponentials cost
-    O(size(a) + size(c)), and expm1(-i a t) is conj(ea)."""
-    out = _e0(b1, t, _expm1_sum(ea, ec))
-    out *= _e0(b2, t, _expm1_sum(np.conj(ea), ec))
-    return out
-
-
-def _loss_split(ea, ec, b, t):
-    """F(b, t) for b = a + c (real), from ea = expm1(i a t) and ec = expm1(i c t)."""
-    return _f(b, t, _expm1_sum(ea, ec))
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +282,15 @@ def modes_from_grid(w0):
     return ModeRep(u=u, s=s, coef=coef, x_box=x_box, q_box=q_box)
 
 
-def modes_from_closed(spec, x_reach=None):
+def modes_from_closed(spec, x_reach=None, dp=None):
     """Exact Fourier coefficients of a closed-form state on a private box.
 
     The position period covers `x_reach` (how far from the packet center the
     evolution will evaluate the state), so no wrap-around image is ever seen
     and position windows never clip: the mode sum itself reproduces the true
     (near-zero) tails.  The momentum box stays at the true support and is
-    enforced by masking instead.
+    enforced by masking instead.  Given the grid's dp, each period is
+    rounded up to R pi/dp, R an integer, so u_j/2 lies on dp/R (`_q_lattice`).
     """
     d = spec.d
     sig = spec.sigma
@@ -326,6 +304,8 @@ def modes_from_closed(spec, x_reach=None):
     if x_reach is not None:
         r_x = np.maximum(r_x, float(x_reach))
     l_x = 2.0 * (r_x + CLOSED_PAD * sig)
+    if dp is not None:
+        l_x = np.ceil(l_x * dp / np.pi) * np.pi / dp
     l_q = 2.0 * (r_q + CLOSED_PAD / (2.0 * sig))
     u_cut = CLOSED_DECAY / sig
     s_cut = CLOSED_DECAY * 2.0 * sig + float(np.max(np.abs(sep)))
@@ -367,7 +347,7 @@ def build_modes(w0, backend="auto", x_reach=None):
         if not isinstance(w0.source, InitialStateSpec):
             raise ValueError("closed backend needs a WignerFunction built "
                              "from a closed-form state")
-        return modes_from_closed(w0.source, x_reach=x_reach)
+        return modes_from_closed(w0.source, x_reach=x_reach, dp=w0.grid.dp)
     if backend in ("auto", "grid"):
         return modes_from_grid(w0)
     raise ValueError(f"unknown backend {backend!r}")
@@ -437,15 +417,32 @@ def _in_q_box(modes, q):
     return inside
 
 
+def _q_lattice(modes, P, dp):
+    """The lattice box (N_q, d) spanned by q+- = p +- u_j/2, any d, and the
+    rows of q+ and of q- for each (j, p), (M, N_p) each: p is a multiple of
+    dp and u_j/2 of dp/R per axis (R = 1 on the grid backend)."""
+    half = 0.5 * modes.u
+    step = np.min(np.abs(half), axis=0, where=half != 0.0, initial=dp)
+    ratio = np.maximum(1.0, np.rint(dp / step))              # R per axis
+    uj = half * (ratio / dp)
+    if np.any(np.abs(uj - np.rint(uj)) > 1e-9):
+        raise ValueError("mode frequencies are off the grid's momentum lattice")
+    pj, uj = np.rint(P * (ratio / dp)), np.rint(uj)[:, None]
+    lattice = np.stack([pj + uj, pj - uj]).astype(np.int64)  # (2, M, Np, d)
+    lo, hi = lattice.min(axis=(0, 1, 2)), lattice.max(axis=(0, 1, 2))
+    rows = np.ravel_multi_index(np.moveaxis(lattice - lo, -1, 0), hi - lo + 1)
+    q = _tensor_points([np.arange(a, b + 1) * (dp / r) for a, b, r in zip(lo, hi, ratio)])
+    return q, rows[0], rows[1]
+
+
 def _diagram_core(term, modes, grid, params, t, quad, panel_factor=1.0):
     """One second-order term on the output grid, coupling factored out.
 
-    Every kernel phase splits as b = a(p, k) + c(u_j, k): a collects the
-    momentum and bath-frequency parts, c = -+u_j.k/2m the mode part.  The
-    full-window kernels take expm1 on the (N_p, K) and (M, K) factors only
-    (`_gain_split`, `_loss_split`), and the gain's gq(p + k) takes
-    e^{i s.(p+k)} as e^{i s.p} e^{i s.k}.  Mask-active columns use the
-    windowed integrals on the combined phases.
+    Full-window kernels come from the q-lattice tables (module docstring);
+    mask-active (p, k) columns take the windowed integrals at the tabulated
+    phases, a loss's less the full-window share its k sum already holds.
+    The full-window (M, N_p) and windowed (M, N_x, N_p) sums run over every
+    chunk and branch and are projected onto x once.
     """
     d = params.d
     m = params.m_s
@@ -456,9 +453,10 @@ def _diagram_core(term, modes, grid, params, t, quad, panel_factor=1.0):
 
     p_scale = float(np.max(np.abs(P))) if P.size else 0.0
     k, wk, panels = _k_nodes(params, quad, t, modes.u_max, p_scale, panel_factor)
-    nk = k.shape[0]
     omega = np.sqrt(np.sum(k**2, axis=-1) + params.m_e**2)
     branches = _thermal_branches(omega, params)
+    qv, iqp, iqm = _q_lattice(modes, P, grid.dp)
+    iq = iqm if term == "loss_right" else iqp
 
     xt = X[:, None, :] - P[None, :, :] * (t / m)             # (Nx, Np, d)
     ux_phase = np.exp(1j * (modes.u @ X.T))                  # (M, Nx)
@@ -466,25 +464,22 @@ def _diagram_core(term, modes, grid, params, t, quad, panel_factor=1.0):
     sp_phase = np.exp(1j * (modes.s @ P.T))                  # (L, Np)
     dom_hi = 2.0 * t if term == "gain" else t
     slope_sign = -1.0 if term == "gain" else +1.0
-    # the mode part c of each phase: -u.k/2m for the gain, +u.k/2m for losses
-    c_sign = -1.0 if term == "gain" else +1.0
+    b_sign = -1.0 if term == "loss_right" else +1.0
 
-    out = np.zeros((nx, npts), dtype=complex)
-    if term != "gain":
-        gq_p = (modes.coef @ sp_phase) * _in_q_box(modes, P)[None, :]   # (M, Np)
+    acc = np.zeros((M, npts), dtype=complex)
+    contrib = 0.0        # the windowed (M, Nx, Np) sum, once a column is masked
+    weight = up_phase if term == "gain" else (
+        up_phase * (modes.coef @ sp_phase) * _in_q_box(modes, P)[None, :])
 
-    # chunk k so the (M, Np, K) fast tensors stay bounded; the masked
+    # chunk k so the (M, Np, K) gain tensors stay bounded; the masked
     # sub-chunk budget allows for the temporaries of the windowed integrals
     chunk = max(1, int(_CHUNK_BYTES // max(16 * M * npts * 12, 1)))
     sub = max(1, int(_CHUNK_BYTES // max(16 * M * nx * npts * 24, 1)))
-    for k0 in range(0, nk, chunk):
-        sl = slice(k0, min(nk, k0 + chunk))
+    for k0 in range(0, k.shape[0], chunk):
+        sl = slice(k0, k0 + chunk)
         kc, wc, om = k[sl], wk[sl], omega[sl]
-        nck = kc.shape[0]
-        kk = np.sum(kc**2, axis=-1)
-        pk = (P @ kc.T) / m                                  # (Np, K)
-        cu = c_sign * (modes.u @ kc.T) / (2.0 * m)           # (M, K)
-        ec = np.expm1(1j * t * cu)[:, None, :]               # (M, 1, K)
+        kk2 = np.sum(kc**2, axis=-1) / (2.0 * m)
+        qk = (qv @ kc.T) / m                                 # (Nq, K)
         meas = wc / ((2.0 * np.pi) ** d * 2.0 * om)
         slopes = slope_sign * kc / (2.0 * m)                 # (K, d)
 
@@ -494,52 +489,51 @@ def _diagram_core(term, modes, grid, params, t, quad, panel_factor=1.0):
         e_lo, e_hi = _windows(xt[[0, -1]], slopes, modes.x_box, dom_hi)
         full_cols = ((e_lo <= 0.0) & (e_hi >= dom_hi)).all(axis=0)   # (Np, K)
         masked_cols = np.nonzero(~full_cols.all(axis=0))[0]
+        # allocated before the chunk's temporaries: among them it pins the heap top
+        if masked_cols.size and not np.ndim(contrib):
+            contrib = np.zeros((M, nx, npts), dtype=complex)
 
         if term == "gain":
             sk_phase = np.exp(1j * (modes.s @ kc.T))         # (L, K)
             # the (L, Np, K) phase table is a temporary, freed before the kernels
             gq = (modes.coef @ (sp_phase[:, :, None] * sk_phase[:, None, :])
-                  .reshape(L, -1)).reshape(M, npts, nck)
+                  .reshape(L, -1)).reshape(M, npts, -1)
             gq *= _in_q_box(modes, P[:, None, :] + kc[None, :, :])[None]
 
         for sgn, wgt_full in branches:
             ww = meas * (wgt_full[sl] if np.ndim(wgt_full) else wgt_full)
-            w_full = ww[None, :] * full_cols                  # (Np, K)
             if term == "gain":
-                a = -(pk + 0.5 * kk[None, :] / m) + sgn * om[None, :]
-                b1 = a[None] + cu[:, None, :]
-                b2 = -a[None] + cu[:, None, :]
-                i_full = _gain_split(np.expm1(1j * t * a)[None], ec, b1, b2, t)
+                b = sgn * om[None, :] - qk - kk2[None, :]     # b1(q); b2(q-) = -b(q-)
+                e1 = _e0(b, t)
+                i_full = e1[iqp]
+                i_full *= np.conj(e1)[iqm]
                 i_full *= gq
-                acc = np.einsum("jpk,pk->jp", i_full, w_full)
-                out += np.einsum("jx,jp,jp->xp", ux_phase, up_phase, acc)
+                acc += np.einsum("jpk,pk->jp", i_full, ww[None, :] * full_cols)
             else:
-                sgn_term = +1.0 if term == "loss_left" else -1.0
-                a = sgn_term * (pk - 0.5 * kk[None, :] / m - sgn * om[None, :])
-                bmat = a[None] + cu[:, None, :]
-                f_full = _loss_split(np.expm1(1j * t * a)[None], ec, bmat, t)
-                acc = np.einsum("jpk,pk->jp", f_full, w_full)
-                out += np.einsum("jx,jp,jp,jp->xp", ux_phase, up_phase, gq_p, acc)
+                b = b_sign * (qk - kk2[None, :] - sgn * om[None, :])    # +-B(q)
+                f_tab = _f(b, t)
+                acc += (f_tab @ ww)[iq]
             # mask-active columns, in sub-chunks, with the windowed integrals
             for c0 in range(0, masked_cols.size, sub):
                 cc = masked_cols[c0:c0 + sub]
                 act = ~full_cols[:, cc]                       # (Np, Kc)
                 w_lo, w_hi = _windows(xt, slopes[cc], modes.x_box, dom_hi)
+                bc = b[:, cc]
                 if term == "gain":
-                    istrip = strip_gain_integral(b1[:, None, :, cc],
-                                                 b2[:, None, :, cc], t,
-                                                 w_lo[None], w_hi[None])
-                    contrib = np.sum(
-                        (ww[cc] * gq[:, :, cc] * act[None, :, :])[:, None, :, :]
-                        * istrip, axis=-1)                    # (M, Nx, Np)
-                    out += np.einsum("jx,jp,jxp->xp", ux_phase, up_phase, contrib)
+                    istrip = strip_gain_integral(bc[iqp][:, None], -bc[iqm][:, None],
+                                                 t, w_lo[None], w_hi[None])
+                    contrib += np.sum((ww[cc] * gq[:, :, cc] * act)[:, None] * istrip,
+                                      axis=-1)
                 else:
-                    f_win = window_loss_integral(bmat[:, None, :, cc], t,
+                    f_win = window_loss_integral(bc[iq][:, None], t,
                                                  w_lo[None], w_hi[None])
-                    contrib = np.sum((ww[cc] * act)[None, None, :, :] * f_win, axis=-1)
-                    out += np.einsum("jx,jp,jp,jxp->xp", ux_phase, up_phase,
-                                     gq_p, contrib)
+                    f_win -= f_tab[:, cc][iq][:, None]        # already in acc
+                    contrib += np.sum((ww[cc] * act)[None, None, :, :] * f_win,
+                                      axis=-1)
 
+    out = ux_phase.T @ (weight * acc)
+    if np.ndim(contrib):
+        out += np.einsum("jx,jp,jxp->xp", ux_phase, weight, contrib)
     return out.reshape(grid.value_shape()), panels
 
 

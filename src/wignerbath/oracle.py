@@ -508,6 +508,7 @@ def _loss_sum(x, p, t, tau, jac, params, spec, ci, cj, left, n_inner, n_per):
     wt = tb_w * pref[..., 0]
 
     total = 0.0 + 0.0j
+    buf = np.empty(0, dtype=complex)
     for count in np.unique(panels):
         kq, kw = gauss_panels(-lam_uv, lam_uv, n_per, int(count))
         omega = np.sqrt(kq**2 + params.m_e**2)
@@ -520,9 +521,12 @@ def _loss_sum(x, p, t, tau, jac, params, spec, ci, cj, left, n_inner, n_per):
             else:
                 env_t = (1.0 + occ) * fwd + occ * np.conj(fwd)
             meas = env_t / (2.0 * np.pi * 2.0 * omega) * kw
-            # val_eta = sqrt(-pi/h2) exp(h0 - c1e^2/(4 h2)), c1e = h1 + i k,
-            # built in place: it is the chunk's one large array
-            val = h1[b] + 1j * kq
+            # val_eta = sqrt(-pi/h2) exp(h0 - c1e^2/(4 h2)), c1e = h1 + i k, built
+            # in place in one buffer for all chunks, so the heap is not refaulted
+            size = len(b) * n_inner * kq.size
+            buf = buf if buf.size >= size else np.empty(size, dtype=complex)
+            val = buf[:size].reshape(len(b), n_inner, kq.size)
+            np.add(h1[b], 1j * kq, out=val)
             val *= val
             val /= 4.0 * h2[b]
             np.subtract(h0[b], val, out=val)

@@ -215,7 +215,7 @@ def run(config):
                         result.w_total, os.path.join(config.out_dir, tag)))
 
         elif config.mode == "certify":
-            t = config.times[-1]
+            t, = config.times
             probes = default_probes(config.grid, config.model, t)
             record = certify_instance(w0, config.model, t, probes, config.quad,
                                       backend=config.backend)

@@ -48,6 +48,16 @@ def test_config_error_aggregation():
     assert len(exc.value.errors) >= 4
 
 
+def test_certify_takes_one_time():
+    # certify certifies one output time; more are reported with the other errors
+    with pytest.raises(ConfigError) as exc:
+        parse_config("mode = certify\nn_x = 33\ntimes = 0.3, 0.6\n")
+    msgs = "\n".join(exc.value.errors)
+    assert "certify mode takes one output time, got 2" in msgs
+    assert "even" in msgs
+    assert parse_config("mode = certify\ntimes = 0.6\n").times == [0.6]
+
+
 def test_trapezoid_scheme_rejected():
     # Gauss-Legendre is the only k rule, so there is no scheme to choose
     with pytest.raises(ConfigError) as exc:
@@ -174,6 +184,9 @@ def test_cli_exit_codes(tmp_path):
     for bad in ("times =\n", "times = ,\n", "quad.k_max = 8.0\n"):
         cfg_path.write_text(MINIMAL.format(out=tmp_path / "out4") + bad)
         assert main(["evolve", "--config", str(cfg_path)]) == 2, bad
+    # certify mode certifies exactly one output time
+    cfg_path.write_text(MINIMAL.format(out=tmp_path / "out5") + "times = 0.3, 0.6\n")
+    assert main(["certify", "--config", str(cfg_path)]) == 2
     # override path
     cfg_path.write_text(MINIMAL.format(out=tmp_path / "out3"))
     assert main(["observables", "--config", str(cfg_path),

@@ -11,8 +11,8 @@ from wignerbath import evolution
 from wignerbath.evolution import (_diagram_with_report, seg_e0, seg_e1,
                                   strip_gain_integral, window_loss_integral,
                                   modes_from_grid, modes_from_closed,
-                                  _gain_split, _loss_split, _resolve_modes,
-                                  _term_trace)
+                                  _diagram_core, _e0, _f, _q_lattice,
+                                  _resolve_modes, _term_trace)
 
 
 # ---------------------------------------------------------------------------
@@ -91,49 +91,41 @@ def _mp_e0(b, t):
     return mpmath.expm1(1j * b * t) / (1j * b)
 
 
-@mpmath.workdps(40)
-def _mp_kernels(a, c, t):
-    """E0(a + c) E0(-a + c) and Int_0^t (t - tau) e^{i (a + c) tau} dtau at
-    40 digits, for the exact sums of the doubles a and c."""
-    b1 = mpmath.mpf(a) + mpmath.mpf(c)
-    b2 = -mpmath.mpf(a) + mpmath.mpf(c)
-    w = 1j * b1 * t
-    loss = mpmath.mpf(t) ** 2 / 2 if b1 == 0 else t**2 * (mpmath.expm1(w) - w) / w**2
-    return complex(_mp_e0(b1, t) * _mp_e0(b2, t)), complex(loss)
-
-
 @pytest.mark.parametrize("sign", (+1.0, -1.0))
-def test_separable_kernels_against_mpmath(sign):
-    """The separable kernels against 40-digit values of the same integrals.
+def test_tabulated_kernels_against_mpmath(sign):
+    """The full-window kernels as the diagrams use them, against 40-digit
+    values of the same integrals at the same double phases.
 
-    The phase b = a + c reaches the kernels only through expm1(i a t) and
-    expm1(i c t).  Where a and c cancel (|a t|, |c t| >> |b t|) each factor
-    carries the rounding of its own phase, so the error bound is
-    4 eps (1 + |a t| + |c t|) in units of t^2 (for both kernels): the
-    error a direct evaluation makes from rounding b = a + c itself.  The
-    sweep covers |w| = |b t| from 1e-12 to 1e3, w = 0, and both sides of the
-    |w| = 1 switch to the direct form (gain) and the series (loss).
+    The gain tabulates E0(b, t) once per momentum and forms
+    E0(b1) E0(b2) = table[q+] conj(table[q-]) with table[q-] = E0(-b2); a
+    loss takes F(b, t).  The bound is 4 eps (1 + |b| t) t^2 with |b| the
+    larger phase of the product: the error that rounding the phase b t
+    itself makes.  The sweep covers |w| = |b1 t| from 1e-12 to 1e3, w = 0,
+    both sides of |w| = 1 (the loss's switch to its series), and b2 = b1
+    as well as b2 at a fixed offset of up to 800 from b1.
     """
     eps = np.finfo(float).eps
     t = 0.7
     w = np.concatenate([[0.0], np.logspace(-12, 3, 46),
                         [1.0 - 1e-9, 1.0, 1.0 + 1e-9]])
-    for a in (0.0, 0.3, -5.0, 400.0):
-        c = sign * w / t - a
-        b1 = a + c
-        b2 = -a + c
-        ea = np.full(w.shape, np.expm1(1j * t * a))
-        ec = np.expm1(1j * t * c)
-        gain = _gain_split(ea, ec, b1, b2, t)
-        loss = _loss_split(ea, ec, b1, t)
-        for i in range(w.size):
-            # the exact phases of the split, not the rounded b1, b2
-            ref_gain, ref_loss = _mp_kernels(a, c[i], t)
-            bound = 4.0 * eps * (1.0 + abs(a * t) + abs(c[i] * t))
-            assert abs(gain[i] - ref_gain) <= bound * t**2, (a, w[i])
-            assert abs(loss[i] - ref_loss) <= bound * t**2, (a, w[i])
-            if a == 0.0:   # no cancellation: relative accuracy
-                assert abs(loss[i] - ref_loss) <= 8 * eps * abs(ref_loss)
+    n = w.size
+    b1 = sign * w / t
+    loss = _f(b1, t)
+    for offset in (0.0, 0.6, -10.0, 800.0):
+        b2 = b1 - offset
+        table = _e0(np.concatenate([b1, -b2]), t)
+        gain = table[:n] * np.conj(table[n:])
+        with mpmath.workdps(40):
+            for i in range(n):
+                ref = complex(_mp_e0(mpmath.mpf(b1[i]), t)
+                              * _mp_e0(mpmath.mpf(b2[i]), t))
+                bound = 4.0 * eps * (1.0 + max(abs(b1[i]), abs(b2[i])) * t) * t**2
+                assert abs(gain[i] - ref) <= bound, (offset, w[i])
+    with mpmath.workdps(40):
+        for i in range(n):
+            ref = complex(_mp_f(mpmath.mpf(b1[i]), t))
+            assert abs(loss[i] - ref) <= 4.0 * eps * (1.0 + abs(b1[i]) * t) * t**2, w[i]
+            assert abs(loss[i] - ref) <= 8.0 * eps * abs(ref), w[i]
 
 
 def _mp_f(b, d):
@@ -250,6 +242,41 @@ def test_closed_modes_reproduce_state(cat_spec):
             float(wigner_closed(cat_spec, np.array(X), np.array(Q))), abs=1e-12)
 
 
+@pytest.mark.parametrize("n_x", (16, 32, 64))
+def test_closed_period_aligned_to_the_momentum_lattice(cat_spec, gauss_spec, n_x):
+    """Given dp, the closed period is no shorter than without it and puts
+    every u_j/2 on the lattice dp/R, R = l_x dp/pi; the modes still
+    reproduce the state, and the diagrams' q lattice accepts them."""
+    rng = np.random.default_rng(11)
+    for spec in (gauss_spec, cat_spec):
+        grid = balanced_grid(spec, n_x)
+        for reach in (None, 7.3):
+            free = modes_from_closed(spec, x_reach=reach)
+            aligned = modes_from_closed(spec, x_reach=reach, dp=grid.dp)
+            l_free = np.diff(free.x_box, axis=-1)[:, 0]
+            l_x = np.diff(aligned.x_box, axis=-1)[:, 0]
+            assert np.all(l_x >= l_free)
+            ratio = l_x * grid.dp / np.pi
+            assert np.allclose(ratio, np.rint(ratio), rtol=0.0, atol=1e-9)
+            on_lattice = 0.5 * aligned.u * np.rint(ratio) / grid.dp
+            assert np.allclose(on_lattice, np.rint(on_lattice), rtol=0.0, atol=1e-9)
+            for _ in range(5):
+                X, Q = rng.uniform(-4, 4), rng.uniform(-1.5, 1.5)
+                val = np.real(np.sum(aligned.coef * np.exp(
+                    1j * (aligned.u[:, 0][:, None] * X + aligned.s[:, 0][None, :] * Q))))
+                assert val == pytest.approx(
+                    float(wigner_closed(spec, np.array(X), np.array(Q))), abs=1e-12)
+            P = grid.p_nodes[:, None]
+            q, iqp, iqm = _q_lattice(aligned, P, grid.dp)
+            assert np.allclose(q[iqp], P[None] + 0.5 * aligned.u[:, None], rtol=0, atol=1e-12)
+            assert np.allclose(q[iqm], P[None] - 0.5 * aligned.u[:, None], rtol=0, atol=1e-12)
+            assert len(q) < iqp.size
+    with pytest.raises(ValueError, match="momentum lattice"):
+        grid = balanced_grid(cat_spec, 32)
+        _q_lattice(modes_from_closed(cat_spec, x_reach=7.3), grid.p_nodes[:, None],
+                   grid.dp)
+
+
 # ---------------------------------------------------------------------------
 # zeroth order
 # ---------------------------------------------------------------------------
@@ -318,6 +345,75 @@ def test_small_time_quadratic_scaling(tiny_instance):
         r2 = norms[2] / norms[1]
         assert r1 == pytest.approx(4.0, rel=0.05)
         assert r2 == pytest.approx(4.0, rel=0.05)
+
+
+def _direct_core(term, modes, grid, params, t, quad):
+    """The term from its kernels on the whole (M, N_p, K) tensor, d = 1: the
+    reference of `test_diagram_core_matches_direct_evaluation`.
+
+    Every (j, p, k) element takes its own phase: E0(b1) E0(b2) for the gain
+    and F(+-B) for a loss.  A (p, k) column in which some x leaves the box
+    takes the windowed integral at every x instead.  No table, chunk or
+    gather.  Returns the term and the number of such masked columns.
+    """
+    m = params.m_s
+    x, p = grid.x_nodes, grid.p_nodes
+    u = modes.u[:, 0]
+    k, wk, _ = evolution._k_nodes(params, quad, t, modes.u_max,
+                                  float(np.max(np.abs(p))))
+    omega = np.sqrt(np.sum(k**2, axis=-1) + params.m_e**2)
+    dom_hi = 2.0 * t if term == "gain" else t
+    slopes = (-1.0 if term == "gain" else 1.0) * k / (2.0 * m)
+    xt = (x[:, None] - p[None, :] * (t / m))[..., None]
+    w_lo, w_hi = evolution._windows(xt, slopes, modes.x_box, dom_hi)   # (Nx, Np, K)
+    full = ((w_lo <= 0.0) & (w_hi >= dom_hi)).all(axis=0)              # (Np, K)
+    k = k[:, 0]
+    pk = p[:, None] * k[None, :] / m                                   # (Np, K)
+    kk = k**2 / (2.0 * m)
+    uk = u[:, None, None] * k / (2.0 * m)                              # (M, 1, K)
+    q = p[:, None] + (k[None, :] if term == "gain" else 0.0)
+    inside = (q >= modes.q_box[0, 0]) & (q <= modes.q_box[0, 1])
+    gq = np.einsum("jl,lpk->jpk", modes.coef,
+                   np.exp(1j * modes.s[:, 0][:, None, None] * q[None])) * inside
+    total = np.zeros((x.size, p.size), dtype=complex)
+    for sgn, wgt in evolution._thermal_branches(omega, params):
+        meas = wk * wgt / (2.0 * np.pi * 2.0 * omega)
+        if term == "gain":
+            b1 = -(pk + kk - sgn * omega) - uk
+            b2 = (pk + kk - sgn * omega) - uk
+            kern = np.where(full, _e0(b1, t) * _e0(b2, t), 0.0)[:, None]
+            windowed = lambda: strip_gain_integral(b1[:, None], b2[:, None], t,
+                                                   w_lo, w_hi)
+        else:
+            bb = pk - kk - sgn * omega
+            bb = (bb if term == "loss_left" else -bb) + uk
+            kern = np.where(full, _f(bb, t), 0.0)[:, None]
+            windowed = lambda: window_loss_integral(bb[:, None], t, w_lo, w_hi)
+        if not full.all():
+            kern = kern + np.where(full, 0.0, windowed())              # (M, Nx, Np, K)
+        total += np.einsum("jx,jp,jxpk,jpk,k->xp", np.exp(1j * u[:, None] * x),
+                           np.exp(-1j * u[:, None] * p * (t / m)), kern, gq, meas)
+    return total, int(np.sum(~full.all(axis=0)))
+
+
+@pytest.mark.parametrize("backend", ("closed", "grid"))
+@pytest.mark.parametrize("term", ("gain", "loss_left", "loss_right"))
+def test_diagram_core_matches_direct_evaluation(gauss_spec, backend, term):
+    """The tabulated, gathered and once-projected terms equal the direct
+    (M, N_p, K) evaluation of their kernels within 1e-12 relative, on the
+    closed backend (no masked column) and on the grid backend, where some
+    columns are masked at this t; the thermal bath adds the second branch."""
+    grid = balanced_grid(gauss_spec, 16)
+    w0 = make_initial_wigner(gauss_spec, grid, boundary_tol=1e-4)
+    quad = QuadratureSpec(n_k=16, k_max=8.0)
+    t = 0.7
+    for params in (ModelParams(d=1, m_s=1.3, m_e=0.7, g=0.1, lambda_uv=8.0),
+                   ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=8.0, t_env=0.7)):
+        modes = _resolve_modes(w0, params, t, quad, backend)
+        got, _ = _diagram_core(term, modes, grid, params, t, quad)
+        ref, masked = _direct_core(term, modes, grid, params, t, quad)
+        assert (masked > 0) == (backend == "grid")
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_loss_mirror_identity(gentle_instance):
