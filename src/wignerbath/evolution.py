@@ -282,15 +282,15 @@ def modes_from_grid(w0):
     return ModeRep(u=u, s=s, coef=coef, x_box=x_box, q_box=q_box)
 
 
-def modes_from_closed(spec, x_reach=None, dp=None):
+def modes_from_closed(spec, dp, x_reach=None):
     """Exact Fourier coefficients of a closed-form state on a private box.
 
     The position period covers `x_reach` (how far from the packet center the
     evolution will evaluate the state), so no wrap-around image is ever seen
     and position windows never clip: the mode sum itself reproduces the true
     (near-zero) tails.  The momentum box stays at the true support and is
-    enforced by masking instead.  Given the grid's dp, each period is
-    rounded up to R pi/dp, R an integer, so u_j/2 lies on dp/R (`_q_lattice`).
+    enforced by masking instead.  Each period is rounded up to R pi/dp, R an
+    integer and dp the output grid's step, so u_j/2 lies on dp/R (`_q_lattice`).
     """
     d = spec.d
     sig = spec.sigma
@@ -304,8 +304,7 @@ def modes_from_closed(spec, x_reach=None, dp=None):
     if x_reach is not None:
         r_x = np.maximum(r_x, float(x_reach))
     l_x = 2.0 * (r_x + CLOSED_PAD * sig)
-    if dp is not None:
-        l_x = np.ceil(l_x * dp / np.pi) * np.pi / dp
+    l_x = np.ceil(l_x * dp / np.pi) * np.pi / dp
     l_q = 2.0 * (r_q + CLOSED_PAD / (2.0 * sig))
     u_cut = CLOSED_DECAY / sig
     s_cut = CLOSED_DECAY * 2.0 * sig + float(np.max(np.abs(sep)))
@@ -347,7 +346,7 @@ def build_modes(w0, backend="auto", x_reach=None):
         if not isinstance(w0.source, InitialStateSpec):
             raise ValueError("closed backend needs a WignerFunction built "
                              "from a closed-form state")
-        return modes_from_closed(w0.source, x_reach=x_reach, dp=w0.grid.dp)
+        return modes_from_closed(w0.source, w0.grid.dp, x_reach=x_reach)
     if backend in ("auto", "grid"):
         return modes_from_grid(w0)
     raise ValueError(f"unknown backend {backend!r}")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -232,7 +234,7 @@ def test_grid_modes_reproduce_interpolant(gauss_spec):
 
 
 def test_closed_modes_reproduce_state(cat_spec):
-    modes = modes_from_closed(cat_spec)
+    modes = modes_from_closed(cat_spec, balanced_grid(cat_spec, 32).dp)
     rng = np.random.default_rng(10)
     for _ in range(5):
         X, Q = rng.uniform(-4, 4), rng.uniform(-1.5, 1.5)
@@ -244,18 +246,22 @@ def test_closed_modes_reproduce_state(cat_spec):
 
 @pytest.mark.parametrize("n_x", (16, 32, 64))
 def test_closed_period_aligned_to_the_momentum_lattice(cat_spec, gauss_spec, n_x):
-    """Given dp, the closed period is no shorter than without it and puts
-    every u_j/2 on the lattice dp/R, R = l_x dp/pi; the modes still
+    """The closed period is no shorter than the unrounded 2 (r_x + pad sigma)
+    and puts every u_j/2 on the lattice dp/R, R = l_x dp/pi; the modes still
     reproduce the state, and the diagrams' q lattice accepts them."""
     rng = np.random.default_rng(11)
     for spec in (gauss_spec, cat_spec):
         grid = balanced_grid(spec, n_x)
         for reach in (None, 7.3):
-            free = modes_from_closed(spec, x_reach=reach)
-            aligned = modes_from_closed(spec, x_reach=reach, dp=grid.dp)
-            l_free = np.diff(free.x_box, axis=-1)[:, 0]
+            aligned = modes_from_closed(spec, grid.dp, x_reach=reach)
+            sep = np.zeros(spec.d)
+            sep[0] = spec.separation
+            r_x = evolution.CLOSED_DECAY * spec.sigma + np.abs(sep) / 2.0
+            if reach is not None:
+                r_x = np.maximum(r_x, reach)
+            l_unrounded = 2.0 * (r_x + evolution.CLOSED_PAD * spec.sigma)
             l_x = np.diff(aligned.x_box, axis=-1)[:, 0]
-            assert np.all(l_x >= l_free)
+            assert np.all(l_x >= l_unrounded)
             ratio = l_x * grid.dp / np.pi
             assert np.allclose(ratio, np.rint(ratio), rtol=0.0, atol=1e-9)
             on_lattice = 0.5 * aligned.u * np.rint(ratio) / grid.dp
@@ -271,10 +277,11 @@ def test_closed_period_aligned_to_the_momentum_lattice(cat_spec, gauss_spec, n_x
             assert np.allclose(q[iqp], P[None] + 0.5 * aligned.u[:, None], rtol=0, atol=1e-12)
             assert np.allclose(q[iqm], P[None] - 0.5 * aligned.u[:, None], rtol=0, atol=1e-12)
             assert len(q) < iqp.size
+    grid = balanced_grid(cat_spec, 32)
+    aligned = modes_from_closed(cat_spec, grid.dp, x_reach=7.3)
+    off = dataclasses.replace(aligned, u=aligned.u * np.sqrt(2.0))
     with pytest.raises(ValueError, match="momentum lattice"):
-        grid = balanced_grid(cat_spec, 32)
-        _q_lattice(modes_from_closed(cat_spec, x_reach=7.3), grid.p_nodes[:, None],
-                   grid.dp)
+        _q_lattice(off, grid.p_nodes[:, None], grid.dp)
 
 
 # ---------------------------------------------------------------------------
