@@ -45,8 +45,9 @@ On the full window I = E0(beta1, t) E0(beta2, t) and Fw = F(B, t).  A
 window [s1, s2] of length d shifts the phase: e^{ib s1} E0 is the integral
 of e^{ibs} and e^{ib s1} (s2 E0 - F) that of s e^{ibs} (`seg_e0`,
 `seg_e1`); the loss window [ta, tb] gives e^{iB ta} ((t - tb) E0 + F)
-(`window_loss_integral`) and the gain's strip in s = t1 + t2 four `seg_e0`
-terms (`strip_gain_integral`).  An empty window has d = 0, hence value 0.
+(`window_loss_integral`) and the gain's strip in s = t1 + t2, split at
+s = t, a `seg_e0` term and a triangle integral per half, stable at any
+b1 - b2 (`strip_gain_integral`).  An empty window has d = 0, hence value 0.
 
 q-lattice tables.  The full-window phases depend on (p, u_j) only through
 q+- = p +- u_j/2: beta1 = b(q+), beta2 = -b(q-) with
@@ -67,7 +68,9 @@ keeps the independent sign path for `diagram_loss_right` and certification.
 Initial data are treated as zero outside their box (matching the transform
 module): evaluation points whose position argument would leave the box are
 removed by clipping the analytic time integrals to the admissible
-sub-window, and the momentum argument p + k is masked to the box directly.
+sub-window: every (p, k) column takes the full window from the tables and
+only the clipped (x, p, k) elements (`_clipped`) add their windowed value
+less it.  The momentum argument p + k is masked to the box directly.
 
 Only the k integral is numerical: composite Gauss-Legendre panels whose
 count scales with the analytic phase range, so the oscillatory UV tail is
@@ -88,10 +91,9 @@ from .propagators import bose_occupation, gauss_panels
 SUPPORT_TOL = 1e-9        # relative mass threshold for the shear support check
 CLOSED_DECAY = 8.9        # closed modes: Gaussian widths kept around each atom
 CLOSED_PAD = 3.0          # closed modes: extra widths of period beyond that
-SMALL_PHASE = 1e-5        # |gamma|*2t below which the strip takes gamma = 0
 COEF_TRUNC = 1e-19        # closed-form mode coefficient truncation
 PHASE_PER_PANEL = 24.0    # analytic phase (radians) covered by one k panel
-_CHUNK_BYTES = 1 << 28    # ~256 MB cap for the masked time-integral tensors
+_CHUNK_BYTES = 1 << 28    # ~256 MB cap for a k chunk's and a clipped slice's tensors
 _TRACE_BYTES = 1 << 24    # cap for one trace chunk's (L, nodes, p nodes) phases
 
 
@@ -167,34 +169,32 @@ def strip_gain_integral(b1, b2, t, s_lo, s_hi):
     """Double time integral of e^{i(b1 t1 + b2 t2)} over [0,t]^2 restricted to
     the strip s_lo <= t1 + t2 <= s_hi (b1, b2 real).
 
-    In s = t1 + t2 the transverse integral is elementary: with
-    gamma = b1 - b2 the s-integrand is (e^{i b1 s} - e^{i b2 s})/(i gamma)
-    on [0, t] and (e^{i gamma t} e^{i b2 s} - e^{-i gamma t} e^{i b1 s})/
-    (i gamma) on [t, 2t], so four `seg_e0` calls give the strip.  Where
-    |gamma| 2t < SMALL_PHASE that difference cancels, and those elements take
-    the gamma = 0 limit, the moments s and 2t - s of e^{i bbar s}.  For the
-    full strip [0, 2t] this is E0(b1, t) E0(b2, t).
+    With gamma = b1 - b2, the strip's part in s = t1 + t2 <= t is the
+    integral of e^{ixr} E0(gamma, r) over r = s in [r0, r0 + d], x = b2; its
+    part in s >= t is e^{i(b1 + b2) t} times that over r = 2t - s, x = -b1.
+    That is E0(gamma, r0) seg_e0(x, r0, r0 + d) plus e^{i(x + gamma) r0}
+    times a triangle, d^2 times exp's divided difference at 0, ia and ic,
+    a, c = xd, (x + gamma) d in the order |a| >= |c|: with g = c - a it is
+    d^2 e^{ic} (c F(-c, 1) - g F(-g, 1))/a, both terms at most |a| in size:
+    no cancellation at any gamma.  Empty parts are skipped.
     """
-    b1 = np.asarray(b1, dtype=float)
-    b2 = np.asarray(b2, dtype=float)
-    gamma = b1 - b2
-    # the parts of [s_lo, s_hi] in [0, t] and [t, 2t]; an empty part has length 0
-    a1 = np.clip(s_lo, 0.0, t)
-    c1 = np.clip(s_hi, a1, t)
-    a2 = np.clip(s_lo, t, 2.0 * t)
-    c2 = np.clip(s_hi, a2, 2.0 * t)
-    eg = np.exp(1j * (gamma * t))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.asarray(seg_e0(b1, a1, c1) - seg_e0(b2, a1, c1))
-        out += eg * seg_e0(b2, a2, c2)
-        out -= np.conj(eg) * seg_e0(b1, a2, c2)
-        out *= np.divide(-1j, gamma)
-    small = np.broadcast_to(np.abs(gamma) * (2.0 * t) < SMALL_PHASE, out.shape)
-    if small.any():
-        bbar, a1, c1, a2, c2 = (np.broadcast_to(v, out.shape)[small]
-                                for v in (0.5 * (b1 + b2), a1, c1, a2, c2))
-        out[small] = (seg_e1(bbar, a1, c1) + 2.0 * t * seg_e0(bbar, a2, c2)
-                      - seg_e1(bbar, a2, c2))
+    shape = np.broadcast_shapes(*map(np.shape, (b1, b2, s_lo, s_hi)))
+    b1, b2 = (np.broadcast_to(np.asarray(v, dtype=float), shape) for v in (b1, b2))
+    out = np.zeros(shape, dtype=complex)
+    for upper, r0, r1 in ((False, s_lo, s_hi), (True, 2.0 * t - s_hi, 2.0 * t - s_lo)):
+        r0, r1 = np.clip(r0, 0.0, t), np.clip(r1, 0.0, t)
+        on = np.broadcast_to(r1 > r0, shape)
+        r0, d = np.broadcast_to(r0, shape)[on], np.broadcast_to(r1 - r0, shape)[on]
+        x, y = (-b1[on], -b2[on]) if upper else (b2[on], b1[on])
+        gamma = y - x
+        swap = np.abs(y) > np.abs(x)
+        a, c, g = (np.where(swap, u, v) * d for u, v in ((y, x), (x, y), (-gamma, gamma)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            part = (c * _f(-c, 1.0) - g * _f(-g, 1.0)) / a
+        part[a == 0.0] = 0.5
+        part *= d * d * np.exp(1j * (c + y * r0))
+        part += _e0(gamma, r0) * seg_e0(x, r0, r0 + d)
+        out[on] += part * np.exp(-1j * ((x + y) * t)) if upper else part
     return out
 
 
@@ -396,24 +396,30 @@ def _windows(xt, slopes, x_box, dom_hi):
     for ax in range(xt.shape[-1]):
         center, slope = xt[..., ax][..., None], slopes[:, ax]
         lo, hi = x_box[ax]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             b1 = (lo - center) / slope
             b2 = (hi - center) / slope
         inside = (center >= lo) & (center <= hi)
         flat = slope == 0.0
-        w_lo = np.maximum(w_lo, np.where(flat, np.where(inside, 0.0, dom_hi),
-                                         np.where(slope > 0, b1, b2)))
-        w_hi = np.minimum(w_hi, np.where(flat, np.where(inside, dom_hi, 0.0),
-                                         np.where(slope > 0, b2, b1)))
+        w_lo = np.maximum(w_lo, np.where(flat, dom_hi * ~inside, np.where(slope > 0, b1, b2)))
+        w_hi = np.minimum(w_hi, np.where(flat, dom_hi * inside, np.where(slope > 0, b2, b1)))
     return w_lo, w_hi
+
+
+def _clipped(xt, slopes, x_box, dom_hi):
+    """The (x, p, k) elements with a clipped window (lo > 0 or hi < dom_hi) and their
+    windows, sorted by (x, p); xt is monotone in x, so only (p, k) columns whose
+    first or last x row is clipped can hold any."""
+    e_lo, e_hi = _windows(xt[[0, -1]], slopes, x_box, dom_hi)
+    cols = np.nonzero(((e_lo > 0.0) | (e_hi < dom_hi)).any(axis=(0, 1)))[0]
+    w_lo, w_hi = _windows(xt, slopes[cols], x_box, dom_hi)
+    ix, ip, ik = np.nonzero((w_lo > 0.0) | (w_hi < dom_hi))
+    return ix, ip, cols[ik], w_lo[ix, ip, ik], w_hi[ix, ip, ik]
 
 
 def _in_q_box(modes, q):
     """Whether each momentum q[..., :] lies inside the modes' q box."""
-    inside = np.ones(q.shape[:-1], dtype=bool)
-    for ax in range(q.shape[-1]):
-        inside &= (q[..., ax] >= modes.q_box[ax, 0]) & (q[..., ax] <= modes.q_box[ax, 1])
-    return inside
+    return np.all((q >= modes.q_box[:, 0]) & (q <= modes.q_box[:, 1]), axis=-1)
 
 
 def _q_lattice(modes, P, dp):
@@ -437,10 +443,10 @@ def _q_lattice(modes, P, dp):
 def _diagram_core(term, modes, grid, params, t, quad, panel_factor=1.0):
     """One second-order term on the output grid, coupling factored out.
 
-    Full-window kernels come from the q-lattice tables (module docstring);
-    mask-active (p, k) columns take the windowed integrals at the tabulated
-    phases, a loss's less the full-window share its k sum already holds.
-    The full-window (M, N_p) and windowed (M, N_x, N_p) sums run over every
+    Every (p, k) column enters the (M, N_p) sum from the q-lattice tables
+    (module docstring); only the clipped (x, p, k) elements (`_clipped`) add
+    their windowed integral at the tabulated phases less the tabulated value,
+    summed per (x, p) into an (M, N_x N_p) sum.  Both sums run over every
     chunk and branch and are projected onto x once.
     """
     d = params.d
@@ -466,14 +472,14 @@ def _diagram_core(term, modes, grid, params, t, quad, panel_factor=1.0):
     b_sign = -1.0 if term == "loss_right" else +1.0
 
     acc = np.zeros((M, npts), dtype=complex)
-    contrib = 0.0        # the windowed (M, Nx, Np) sum, once a column is masked
+    contrib = 0.0        # the clipped elements' (M, Nx Np) sum, once there are any
     weight = up_phase if term == "gain" else (
         up_phase * (modes.coef @ sp_phase) * _in_q_box(modes, P)[None, :])
 
-    # chunk k so the (M, Np, K) gain tensors stay bounded; the masked
-    # sub-chunk budget allows for the temporaries of the windowed integrals
-    chunk = max(1, int(_CHUNK_BYTES // max(16 * M * npts * 12, 1)))
-    sub = max(1, int(_CHUNK_BYTES // max(16 * M * nx * npts * 24, 1)))
+    # chunk k so the (M, Np, K) gain tensors and (Nx, Np, K) windows stay
+    # bounded, and slice the clipped elements so their (M, E) temporaries do
+    chunk = max(1, int(_CHUNK_BYTES // max(16 * npts * max(12 * M, 3 * nx), 1)))
+    per = max(1, int(_CHUNK_BYTES // (16 * M * 24)))
     for k0 in range(0, k.shape[0], chunk):
         sl = slice(k0, k0 + chunk)
         kc, wc, om = k[sl], wk[sl], omega[sl]
@@ -481,16 +487,11 @@ def _diagram_core(term, modes, grid, params, t, quad, panel_factor=1.0):
         qk = (qv @ kc.T) / m                                 # (Nq, K)
         meas = wc / ((2.0 * np.pi) ** d * 2.0 * om)
         slopes = slope_sign * kc / (2.0 * m)                 # (K, d)
-
-        # xt is monotone in x along each axis, so a (p, k) column is full
-        # (no x leaves the box during the window) when the first and last x
-        # nodes stay inside; only the other columns need windows
-        e_lo, e_hi = _windows(xt[[0, -1]], slopes, modes.x_box, dom_hi)
-        full_cols = ((e_lo <= 0.0) & (e_hi >= dom_hi)).all(axis=0)   # (Np, K)
-        masked_cols = np.nonzero(~full_cols.all(axis=0))[0]
+        ix, ip, ik, w_lo, w_hi = _clipped(xt, slopes, modes.x_box, dom_hi)
+        xp = ix * npts + ip
         # allocated before the chunk's temporaries: among them it pins the heap top
-        if masked_cols.size and not np.ndim(contrib):
-            contrib = np.zeros((M, nx, npts), dtype=complex)
+        if xp.size and not np.ndim(contrib):
+            contrib = np.zeros((M, nx * npts), dtype=complex)
 
         if term == "gain":
             sk_phase = np.exp(1j * (modes.s @ kc.T))         # (L, K)
@@ -507,32 +508,31 @@ def _diagram_core(term, modes, grid, params, t, quad, panel_factor=1.0):
                 i_full = e1[iqp]
                 i_full *= np.conj(e1)[iqm]
                 i_full *= gq
-                acc += np.einsum("jpk,pk->jp", i_full, ww[None, :] * full_cols)
+                acc += i_full @ ww
             else:
                 b = b_sign * (qk - kk2[None, :] - sgn * om[None, :])    # +-B(q)
                 f_tab = _f(b, t)
                 acc += (f_tab @ ww)[iq]
-            # mask-active columns, in sub-chunks, with the windowed integrals
-            for c0 in range(0, masked_cols.size, sub):
-                cc = masked_cols[c0:c0 + sub]
-                act = ~full_cols[:, cc]                       # (Np, Kc)
-                w_lo, w_hi = _windows(xt, slopes[cc], modes.x_box, dom_hi)
-                bc = b[:, cc]
+            # clipped elements, sorted by (x, p): windowed less tabulated
+            for e0 in range(0, xp.size, per):
+                e = slice(e0, e0 + per)
+                pe, ke = ip[e], ik[e]
                 if term == "gain":
-                    istrip = strip_gain_integral(bc[iqp][:, None], -bc[iqm][:, None],
-                                                 t, w_lo[None], w_hi[None])
-                    contrib += np.sum((ww[cc] * gq[:, :, cc] * act)[:, None] * istrip,
-                                      axis=-1)
+                    val = strip_gain_integral(b[iqp[:, pe], ke], -b[iqm[:, pe], ke],
+                                              t, w_lo[e], w_hi[e])
+                    val *= gq[:, pe, ke]
+                    val -= i_full[:, pe, ke]
                 else:
-                    f_win = window_loss_integral(bc[iq][:, None], t,
-                                                 w_lo[None], w_hi[None])
-                    f_win -= f_tab[:, cc][iq][:, None]        # already in acc
-                    contrib += np.sum((ww[cc] * act)[None, None, :, :] * f_win,
-                                      axis=-1)
+                    val = window_loss_integral(b[iq[:, pe], ke], t, w_lo[e], w_hi[e])
+                    val -= f_tab[iq[:, pe], ke]
+                val *= ww[ke]
+                starts = np.flatnonzero(np.diff(xp[e], prepend=-1))
+                contrib[:, xp[e][starts]] += np.add.reduceat(val, starts, axis=1)
 
     out = ux_phase.T @ (weight * acc)
     if np.ndim(contrib):
-        out += np.einsum("jx,jp,jxp->xp", ux_phase, weight, contrib)
+        out += np.einsum("jx,jp,jxp->xp", ux_phase, weight,
+                         contrib.reshape(M, nx, npts))
     return out.reshape(grid.value_shape()), panels
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wignerbath import (InitialStateSpec, ModelParams, QuadratureSpec,
                         make_initial_wigner, evolve, evolve_zeroth,
@@ -186,9 +187,8 @@ def test_windowed_kernels_against_mpmath(sign):
     [0, 2t]): the error that rounding the phase beta s itself makes.  The
     sweep covers |beta d| from 1e-12 to 1e3, beta = 0, both sides of the
     |w| = 1 switch to the series, full, clipped and empty windows, and
-    strips with gamma = b1 - b2 = 0 (the degenerate branch) and |gamma t| of
-    order 1 or more (the strip's divided difference cancels for small
-    nonzero |gamma t|, so such phases are not in this sweep).
+    strips with gamma = b1 - b2 = 0 and |gamma t| of order 1 or more (small
+    nonzero |gamma t| is `test_strip_integral_stable_in_gamma`).
     """
     eps = np.finfo(float).eps
     t = 0.7
@@ -214,6 +214,32 @@ def test_windowed_kernels_against_mpmath(sign):
                                           np.array(lo), np.array(hi))
                 bound = 4.0 * eps * (1.0 + (abs(b1) + abs(b2)) * t) * t * t
                 assert abs(got - _mp_strip(b1, b2, t, lo, hi)) <= bound, (b1, b2, lo, hi)
+
+
+@pytest.mark.parametrize("gamma_t", (0.0, 1e-8, 2e-6, 2e-5, 1e-4, 1e-3, 0.1, 1.0))
+def test_strip_integral_stable_in_gamma(gamma_t):
+    """strip_gain_integral against 40-digit values at small and large
+    |gamma| t = |b1 - b2| t, both signs, for bbar t = (b1 + b2) t / 2 from 0
+    to 40, both signs, on full, clipped (one or both halves of [0, 2t], and
+    a 1e-7-thin one) and empty strips: within 1e-12 of the value, and an
+    empty strip exactly 0.  A divided difference in gamma cancels for small
+    nonzero gamma t (3e-9 relative at gamma t = 2e-5 in an earlier form)."""
+    t = 0.7
+    full = ((0.0, 2 * t), (-1.0, 9.0))
+    clipped = ((0.3, 0.9), (0.0, 0.5), (0.9, 1.4), (0.2, 0.2 + 1e-7), (1.3, 9.0))
+    empty = ((0.5, 0.3), (2 * t, 3 * t), (-1.0, 0.0))
+    bbar_t = np.concatenate([[0.0], np.logspace(-6, np.log10(40.0), 13)])
+    for bbar in np.concatenate([bbar_t, -bbar_t[1:]]) / t:
+        for gamma in {gamma_t / t, -gamma_t / t}:
+            b1, b2 = bbar + 0.5 * gamma, bbar - 0.5 * gamma
+            for lo, hi in full + clipped + empty:
+                got = complex(strip_gain_integral(np.array(b1), np.array(b2), t,
+                                                  np.array(lo), np.array(hi)))
+                if (lo, hi) in empty:
+                    assert got == 0.0
+                    continue
+                ref = complex(_mp_strip(b1, b2, t, lo, hi))
+                assert abs(got - ref) <= 1e-12 * abs(ref), (b1, b2, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +386,10 @@ def _direct_core(term, modes, grid, params, t, quad):
 
     Every (j, p, k) element takes its own phase: E0(b1) E0(b2) for the gain
     and F(+-B) for a loss.  A (p, k) column in which some x leaves the box
-    takes the windowed integral at every x instead.  No table, chunk or
-    gather.  Returns the term and the number of such masked columns.
+    takes the windowed integral at every x instead.  No table, chunk,
+    gather or element list.  Returns the term and the numbers of masked
+    columns, of mixed columns (clipped and full elements in one column) and
+    of empty windows.
     """
     m = params.m_s
     x, p = grid.x_nodes, grid.p_nodes
@@ -373,7 +401,8 @@ def _direct_core(term, modes, grid, params, t, quad):
     slopes = (-1.0 if term == "gain" else 1.0) * k / (2.0 * m)
     xt = (x[:, None] - p[None, :] * (t / m))[..., None]
     w_lo, w_hi = evolution._windows(xt, slopes, modes.x_box, dom_hi)   # (Nx, Np, K)
-    full = ((w_lo <= 0.0) & (w_hi >= dom_hi)).all(axis=0)              # (Np, K)
+    clipped = (w_lo > 0.0) | (w_hi < dom_hi)                           # (Nx, Np, K)
+    full = ~clipped.any(axis=0)                                         # (Np, K)
     k = k[:, 0]
     pk = p[:, None] * k[None, :] / m                                   # (Np, K)
     kk = k**2 / (2.0 * m)
@@ -400,7 +429,8 @@ def _direct_core(term, modes, grid, params, t, quad):
             kern = kern + np.where(full, 0.0, windowed())              # (M, Nx, Np, K)
         total += np.einsum("jx,jp,jxpk,jpk,k->xp", np.exp(1j * u[:, None] * x),
                            np.exp(-1j * u[:, None] * p * (t / m)), kern, gq, meas)
-    return total, int(np.sum(~full.all(axis=0)))
+    mixed = clipped.any(axis=0) & ~clipped.all(axis=0)
+    return total, int(np.sum(~full.all(axis=0))), int(mixed.sum()), int(np.sum(w_lo >= w_hi))
 
 
 @pytest.mark.parametrize("backend", ("closed", "grid"))
@@ -409,7 +439,10 @@ def test_diagram_core_matches_direct_evaluation(gauss_spec, backend, term):
     """The tabulated, gathered and once-projected terms equal the direct
     (M, N_p, K) evaluation of their kernels within 1e-12 relative, on the
     closed backend (no masked column) and on the grid backend, where some
-    columns are masked at this t; the thermal bath adds the second branch."""
+    columns are masked at this t; the thermal bath adds the second branch.
+    The grid case has columns that hold clipped and full elements and empty
+    windows, so the element lists, the full-window subtraction and the
+    scatter to (x, p) are all exercised."""
     grid = balanced_grid(gauss_spec, 16)
     w0 = make_initial_wigner(gauss_spec, grid, boundary_tol=1e-4)
     quad = QuadratureSpec(n_k=16, k_max=8.0)
@@ -418,8 +451,9 @@ def test_diagram_core_matches_direct_evaluation(gauss_spec, backend, term):
                    ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=8.0, t_env=0.7)):
         modes = _resolve_modes(w0, params, t, quad, backend)
         got, _ = _diagram_core(term, modes, grid, params, t, quad)
-        ref, masked = _direct_core(term, modes, grid, params, t, quad)
+        ref, masked, mixed, empty = _direct_core(term, modes, grid, params, t, quad)
         assert (masked > 0) == (backend == "grid")
+        assert (mixed > 0 and empty > 0) == (backend == "grid")
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -501,6 +535,83 @@ def test_full_columns_from_the_extreme_x_nodes(d):
     every_x = full(xt)
     assert 0 < every_x.sum() < every_x.size
     assert np.array_equal(full(xt[[0, -1]]), every_x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_clipped_elements_match_every_window(data):
+    """`_clipped` decides from the first and last x rows which (p, k) columns
+    are full; no element of such a column is clipped, and its element list
+    is exactly the elements whose own window is clipped, sorted by (x, p),
+    with the same windows.  Random boxes, slopes (0 and both signs) and
+    balanced grids, d = 1 and d = 3."""
+    d = data.draw(st.sampled_from((1, 3)))
+    n = data.draw(st.sampled_from((8, 10, 12)))
+    spec = InitialStateSpec(kind="gaussian", x0=(data.draw(st.floats(-1.0, 1.0)),) * d,
+                            p0=(0.0,) * d, sigma=1.0)
+    grid = balanced_grid(spec, n, scale=data.draw(st.floats(0.5, 2.0)))
+    # in d = 3, a product grid of 2 or 3 of the grid's nodes per axis
+    nodes = st.sets(st.integers(0, n - 1), min_size=2, max_size=3 if d == 3 else n)
+    x_nodes, p_nodes = (v[sorted(data.draw(nodes))] if d == 3 else v
+                        for v in (grid.x_nodes, grid.p_nodes))
+    X = evolution._tensor_points([x_nodes] * d)
+    P = evolution._tensor_points([p_nodes] * d)
+    t = data.draw(st.floats(0.05, 2.0))
+    xt = X[:, None, :] - P[None, :, :] * t
+    dom_hi = data.draw(st.sampled_from((t, 2.0 * t)))
+    component = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+    slopes = np.array(data.draw(st.lists(st.lists(component, min_size=d, max_size=d),
+                                         min_size=1, max_size=4)))
+    reach = float(np.max(np.abs(xt)))
+    edges = st.floats(-1.5 * reach, 1.5 * reach)
+    box = np.array([sorted(data.draw(st.tuples(edges, edges))) for _ in range(d)])
+
+    ix, ip, ik, w_lo, w_hi = evolution._clipped(xt, slopes, box, dom_hi)
+    e_lo, e_hi = evolution._windows(xt[[0, -1]], slopes, box, dom_hi)
+    full_col = ((e_lo <= 0.0) & (e_hi >= dom_hi)).all(axis=0)        # (Np, K)
+    every = {}
+    for e in np.ndindex(X.shape[0], P.shape[0], slopes.shape[0]):
+        lo, hi = evolution._windows(xt[e[0]:e[0] + 1, e[1]:e[1] + 1], slopes[e[2]:e[2] + 1],
+                                    box, dom_hi)
+        if lo.item() > 0.0 or hi.item() < dom_hi:
+            assert not full_col[e[1], e[2]]
+            every[e] = (lo.item(), hi.item())
+    got = {(a, b, c): (lo, hi) for a, b, c, lo, hi in zip(ix, ip, ik, w_lo, w_hi)}
+    assert got == every
+    assert np.all(np.diff(ix * P.shape[0] + ip) >= 0)
+
+
+@pytest.mark.parametrize("term", ("gain", "loss_left"))
+def test_chunk_budget_does_not_change_the_terms(gauss_spec, monkeypatch, term):
+    """A budget small enough for one k node per chunk and a few clipped
+    elements per slice gives the default-budget term within 1e-14 relative
+    on the grid backend (thermal bath: both branches), and every windowed
+    kernel call keeps its (M, E) elements within the budget."""
+    grid = balanced_grid(gauss_spec, 16)
+    w0 = make_initial_wigner(gauss_spec, grid, boundary_tol=1e-4)
+    params = ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=8.0, t_env=0.7)
+    quad = QuadratureSpec(n_k=16, k_max=8.0)
+    t = 0.7
+    modes = _resolve_modes(w0, params, t, quad, "grid")
+    ref, _ = _diagram_core(term, modes, grid, params, t, quad)
+    budget = 1 << 16
+    sizes = []
+    name = "strip_gain_integral" if term == "gain" else "window_loss_integral"
+    kernel = getattr(evolution, name)
+
+    def counted(*args):
+        out = kernel(*args)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(evolution, name, counted)
+    monkeypatch.setattr(evolution, "_CHUNK_BYTES", budget)
+    got, _ = _diagram_core(term, modes, grid, params, t, quad)
+    k_nodes = evolution._k_nodes(params, quad, t, modes.u_max,
+                                 float(np.max(np.abs(grid.p_nodes))))[0].shape[0]
+    assert len(sizes) > 2 * k_nodes
+    assert max(sizes) * 16 * 24 <= budget
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_trace_chunks_do_not_change_the_trace(gentle_instance, monkeypatch):
