@@ -35,8 +35,9 @@ exactly.  A thermal bath splits each frequency phase into Bose-weighted
 (1 + n, n) branches.  The summary above is the derivation's only write-up.
 
 Time kernels.  Every closed-form time integral is built on one pair of
-primitives on complex expm1, F from its power series in w = ibd where
-|w| < 1, where expm1(w) - w cancels (`_e0`, `_f`):
+primitives on expm1(ibd), taken as -2 sin^2(bd/2) + i sin(bd) (`_expm1i`),
+F from its power series in w = ibd where |w| < 1, where expm1(w) - w
+cancels (`_e0`, `_f`):
 
     E0(b, d) = Int_0^d e^{ibs} ds          = expm1(w)/(ib)
     F(b, d)  = Int_0^d (d - s) e^{ibs} ds  = d^2 (expm1(w) - w)/w^2.
@@ -57,8 +58,14 @@ B(q) = q.k/m - k^2/2m - w_k.  p lies on the lattice dp and u_j/2 on dp/R
 kernels are tabulated from plain expm1 on the N_q ~ M + R N_p lattice
 momenta (d = 1), not 2 M N_p, and gathered (`_q_lattice`): the gain's
 I = E0(b(q+)) conj(E0(b(q-))), as E0(-b) = conj(E0(b)); a loss's F summed
-over k first.  gq_j(p + k) uses e^{i s.(p+k)} = e^{i s.p} e^{i s.k}, and
-the projection onto x runs once per term.
+over k first.  The projection onto x runs once per term.
+
+Rank of the coefficients.  gq_j(p + k) is not on the lattice, but c = A B
+has low rank (`_rank_factors`): 1 for a Gaussian, at most one per atom of a
+closed state.  So the gain never forms gq: per k chunk it masks
+G_r(p + k) = sum_l B_rl e^{i s_l.(p+k)}, (R, N_p, K), to the momentum box
+and sums I G ww over k as one matmul per p, (M, K) @ (K, R); A contracts
+the (N_p, M, R) sum once at the end.
 
 loss_right is the complex conjugate of loss_left (B~ = -B once u_j -> -u_j,
 and the coefficients of a real W0 satisfy c_{-j,-l} = conj(c_{jl})), so
@@ -93,7 +100,7 @@ CLOSED_DECAY = 8.9        # closed modes: Gaussian widths kept around each atom
 CLOSED_PAD = 3.0          # closed modes: extra widths of period beyond that
 COEF_TRUNC = 1e-19        # closed-form mode coefficient truncation
 PHASE_PER_PANEL = 24.0    # analytic phase (radians) covered by one k panel
-_CHUNK_BYTES = 1 << 28    # ~256 MB cap for a k chunk's and a clipped slice's tensors
+_CHUNK_BYTES = 1 << 24    # 16 MB cap for a k chunk's and a clipped slice's tensors
 _TRACE_BYTES = 1 << 24    # cap for one trace chunk's (L, nodes, p nodes) phases
 
 
@@ -105,12 +112,24 @@ _TRACE_BYTES = 1 << 24    # cap for one trace chunk's (L, nodes, p nodes) phases
 _INV_FACT = 1.0 / np.array([math.factorial(n) for n in range(20)])
 
 
+def _expm1i(x):
+    """expm1(ix) for real x, as numpy's complex expm1 computes it for a zero
+    real part, (0 - 2 sin^2(x/2)) + i sin(x), without its exp(0), expm1(0)
+    and cos(x); the values are equal (signed zeros aside)."""
+    x = np.asarray(x, dtype=float)
+    h = np.sin(0.5 * x)
+    out = np.empty(x.shape, dtype=complex)
+    out.real = 0.0 - 2.0 * h * h
+    out.imag = np.sin(x)
+    return out
+
+
 def _e0(b, d, em1=None):
     """E0(b, d) = Int_0^d e^{ibs} ds = expm1(ibd)/(ib), d at b = 0, from
-    em1 = expm1(ibd) when given.  Complex expm1 keeps full relative accuracy
-    for small |bd|, so E0 needs no series."""
+    em1 = expm1(ibd) when given.  expm1 keeps full relative accuracy for
+    small |bd|, so E0 needs no series."""
     b = np.asarray(b, dtype=float)
-    out = np.asarray(np.expm1(1j * (b * d)) if em1 is None else np.array(em1))
+    out = _expm1i(b * d) if em1 is None else np.array(em1)
     out *= -1j
     with np.errstate(divide="ignore", invalid="ignore"):
         out /= b
@@ -124,7 +143,7 @@ def _f(b, d, em1=None):
     cancels, so F is d^2 sum_n w^n/(n+2)! there."""
     b = np.asarray(b, dtype=float)
     bd = np.asarray(b * d)
-    out = np.asarray(np.expm1(1j * bd) if em1 is None else np.array(em1))
+    out = _expm1i(bd) if em1 is None else np.array(em1)
     out.imag -= bd
     with np.errstate(divide="ignore", invalid="ignore"):
         out /= -(b * b)
@@ -149,7 +168,7 @@ def seg_e1(beta, s1, s2):
     (beta, s2 - s1)."""
     beta = np.asarray(beta, dtype=float)
     d = np.subtract(s2, s1)
-    em1 = np.expm1(1j * (beta * d))
+    em1 = _expm1i(beta * d)
     return np.exp(1j * (beta * s1)) * (s2 * _e0(beta, d, em1) - _f(beta, d, em1))
 
 
@@ -161,7 +180,7 @@ def window_loss_integral(B, t, ta, tb):
     ta = np.clip(ta, 0.0, t)
     tb = np.clip(tb, ta, t)
     d = tb - ta
-    em1 = np.expm1(1j * (B * d))
+    em1 = _expm1i(B * d)
     return np.exp(1j * (B * ta)) * ((t - tb) * _e0(B, d, em1) + _f(B, d, em1))
 
 
@@ -440,12 +459,23 @@ def _q_lattice(modes, P, dp):
     return q, rows[0], rows[1]
 
 
+def _rank_factors(coef):
+    """coef = A B, A (M, R) and B (R, L), from the thin SVD cut at numpy's
+    `matrix_rank` tolerance sigma_1 max(M, L) eps: R = 1 for a Gaussian,
+    at most one per `wigner_atoms` entry for a closed state."""
+    a_fac, sv, b_fac = np.linalg.svd(coef, full_matrices=False)
+    rank = int(np.sum(sv > sv[0] * max(coef.shape) * np.finfo(float).eps))
+    return a_fac[:, :rank] * sv[:rank], b_fac[:rank]
+
+
 def _diagram_core(term, modes, grid, params, t, quad, panel_factor=1.0):
     """One second-order term on the output grid, coupling factored out.
 
     Every (p, k) column enters the (M, N_p) sum from the q-lattice tables
-    (module docstring); only the clipped (x, p, k) elements (`_clipped`) add
-    their windowed integral at the tabulated phases less the tabulated value,
+    (module docstring), the gain's through the rank-R factors of the
+    coefficients as an (N_p, M, R) sum; only the clipped (x, p, k) elements
+    (`_clipped`) add their windowed integral at the tabulated phases less
+    the tabulated value, times gq = A G at those elements for the gain,
     summed per (x, p) into an (M, N_x N_p) sum.  Both sums run over every
     chunk and branch and are projected onto x once.
     """
@@ -471,14 +501,26 @@ def _diagram_core(term, modes, grid, params, t, quad, panel_factor=1.0):
     slope_sign = -1.0 if term == "gain" else +1.0
     b_sign = -1.0 if term == "loss_right" else +1.0
 
-    acc = np.zeros((M, npts), dtype=complex)
     contrib = 0.0        # the clipped elements' (M, Nx Np) sum, once there are any
-    weight = up_phase if term == "gain" else (
-        up_phase * (modes.coef @ sp_phase) * _in_q_box(modes, P)[None, :])
+    if term == "gain":
+        # gq = A G with G = B e^{is.(p+k)}: acc[p, j, r] sums I G ww over k,
+        # and A contracts it once at the end
+        a_fac, b_fac = _rank_factors(modes.coef)
+        rank = b_fac.shape[0]
+        bs_phase = b_fac[:, None, :] * sp_phase.T[None]      # (R, Np, L)
+        acc = np.zeros((npts, M, rank), dtype=complex)
+        weight = up_phase
+    else:
+        rank = 0
+        acc = np.zeros((M, npts), dtype=complex)
+        weight = up_phase * (modes.coef @ sp_phase) * _in_q_box(modes, P)[None, :]
 
-    # chunk k so the (M, Np, K) gain tensors and (Nx, Np, K) windows stay
-    # bounded, and slice the clipped elements so their (M, E) temporaries do
-    chunk = max(1, int(_CHUNK_BYTES // max(16 * npts * max(12 * M, 3 * nx), 1)))
+    # chunk k so its tensors stay bounded: per k node the gain's (Np, M) I
+    # and its second gather and (R, Np) G, G ww and its transposed copy, the
+    # (Nx, Np) windows of `_clipped`, the (Nq,) tables; and slice the clipped
+    # elements so their (M, E) temporaries do
+    per_k = max(npts * (2 * M + 3 * rank), 3 * nx * npts, 6 * qv.shape[0])
+    chunk = max(1, _CHUNK_BYTES // (16 * per_k))
     per = max(1, int(_CHUNK_BYTES // (16 * M * 24)))
     for k0 in range(0, k.shape[0], chunk):
         sl = slice(k0, k0 + chunk)
@@ -495,20 +537,17 @@ def _diagram_core(term, modes, grid, params, t, quad, panel_factor=1.0):
 
         if term == "gain":
             sk_phase = np.exp(1j * (modes.s @ kc.T))         # (L, K)
-            # the (L, Np, K) phase table is a temporary, freed before the kernels
-            gq = (modes.coef @ (sp_phase[:, :, None] * sk_phase[:, None, :])
-                  .reshape(L, -1)).reshape(M, npts, -1)
-            gq *= _in_q_box(modes, P[:, None, :] + kc[None, :, :])[None]
+            g_tab = (bs_phase.reshape(-1, L) @ sk_phase).reshape(rank, npts, len(kc))
+            g_tab *= _in_q_box(modes, P[:, None, :] + kc[None, :, :])[None]
 
         for sgn, wgt_full in branches:
             ww = meas * (wgt_full[sl] if np.ndim(wgt_full) else wgt_full)
             if term == "gain":
                 b = sgn * om[None, :] - qk - kk2[None, :]     # b1(q); b2(q-) = -b(q-)
                 e1 = _e0(b, t)
-                i_full = e1[iqp]
-                i_full *= np.conj(e1)[iqm]
-                i_full *= gq
-                acc += i_full @ ww
+                i_full = e1[iqp.T]                            # (Np, M, K)
+                i_full *= np.conj(e1)[iqm.T]
+                acc += i_full @ (g_tab * ww).transpose(1, 2, 0)
             else:
                 b = b_sign * (qk - kk2[None, :] - sgn * om[None, :])    # +-B(q)
                 f_tab = _f(b, t)
@@ -520,8 +559,8 @@ def _diagram_core(term, modes, grid, params, t, quad, panel_factor=1.0):
                 if term == "gain":
                     val = strip_gain_integral(b[iqp[:, pe], ke], -b[iqm[:, pe], ke],
                                               t, w_lo[e], w_hi[e])
-                    val *= gq[:, pe, ke]
-                    val -= i_full[:, pe, ke]
+                    val -= i_full[pe, :, ke].T
+                    val *= a_fac @ g_tab[:, pe, ke]
                 else:
                     val = window_loss_integral(b[iq[:, pe], ke], t, w_lo[e], w_hi[e])
                     val -= f_tab[iq[:, pe], ke]
@@ -529,6 +568,8 @@ def _diagram_core(term, modes, grid, params, t, quad, panel_factor=1.0):
                 starts = np.flatnonzero(np.diff(xp[e], prepend=-1))
                 contrib[:, xp[e][starts]] += np.add.reduceat(val, starts, axis=1)
 
+    if term == "gain":
+        acc = np.einsum("pjr,jr->jp", acc, a_fac)
     out = ux_phase.T @ (weight * acc)
     if np.ndim(contrib):
         out += np.einsum("jx,jp,jxp->xp", ux_phase, weight,

@@ -56,9 +56,16 @@ def _render_all(values):
     return [FMT % v for v in np.asarray(values, dtype=float).tolist()]
 
 
+def _render_rows(vals):
+    """Each row of the 2-D array as its values formatted with FMT and joined
+    by commas."""
+    return [",".join([FMT % v for v in row]) for row in vals.tolist()]
+
+
 def write_wigner_csv(w, path):
     """Grid CSV: one row per x node, columns are p nodes, coordinates in the
-    header; flattened lexicographically for d > 1."""
+    header; flattened lexicographically for d > 1.  Returns the rendered
+    rows (`_render_rows`), which `emit_plot_data` can reuse."""
     grid = w.grid
     d = grid.d
     vals = w.values.reshape(grid.n_x**d, grid.n_x**d)
@@ -68,29 +75,33 @@ def write_wigner_csv(w, path):
     else:
         header = "xflat\\pflat," + ",".join(str(i) for i in range(vals.shape[1]))
         coords = [str(i) for i in range(vals.shape[0])]
+    rows = _render_rows(vals)
     lines = [header]
-    for coord, row in zip(coords, vals.tolist()):
-        lines.append(coord + "," + ",".join([FMT % v for v in row]))
+    lines.extend(coord + "," + row for coord, row in zip(coords, rows))
     _atomic_write(path, "\n".join(lines) + "\n")
+    return rows
 
 
-def emit_plot_data(w, stem):
+def emit_plot_data(w, stem, rows=None):
     """Gnuplot-ready (x, p, W) triplets plus marginal curves (d = 1).
 
     Byte-stable across reruns of the same configuration.  Each coordinate is
-    formatted once per node, not once per (x, p) pair.
+    formatted once per node, not once per (x, p) pair, and each value once
+    per call, or not at all when `rows` holds the rows `write_wigner_csv`
+    rendered for the same W.
     """
     grid = w.grid
     if grid.d != 1:
         raise ValueError("plot data emission is limited to d = 1")
     xs = _render_all(grid.x_nodes)
     ps = _render_all(grid.p_nodes)
-    lines = []
-    for x, row in zip(xs, w.values.tolist()):
-        lines.extend([f"{x} {p} {FMT % v}" for p, v in zip(ps, row)])
-        lines.append("")
+    if rows is None:
+        rows = _render_rows(w.values)
+    # one block of lines per x node, each block followed by an empty line
+    blocks = ["\n".join([f"{x} {p} {v}" for p, v in zip(ps, row.split(","))]) + "\n\n"
+              for x, row in zip(xs, rows)]
     tri_path = stem + "_wigner.dat"
-    _atomic_write(tri_path, "\n".join(lines) + "\n")
+    _atomic_write(tri_path, "".join(blocks))
 
     pos, mom = marginals(w)
     lines = ["# x  position_marginal  p  momentum_marginal"]
@@ -163,7 +174,7 @@ def run(config):
             rho = density_from_wigner(w0)
             w_back = wigner_from_density(rho, config.grid)
             path = os.path.join(config.out_dir, "wigner_t0.csv")
-            write_wigner_csv(w_back, path)
+            rows = write_wigner_csv(w_back, path)
             files.append(path)
             trace = rho.trace()
             sidecar = {
@@ -177,7 +188,7 @@ def run(config):
             files.append(path)
             if config.plot_data and config.grid.d == 1:
                 files.extend(emit_plot_data(
-                    w_back, os.path.join(config.out_dir, "t0")))
+                    w_back, os.path.join(config.out_dir, "t0"), rows))
 
         elif config.mode == "evolve":
             for it, t in enumerate(config.times):
@@ -185,7 +196,7 @@ def run(config):
                                 backend=config.backend, workers=config.workers)
                 tag = f"t{it}"
                 path = os.path.join(config.out_dir, f"wigner_{tag}.csv")
-                write_wigner_csv(result.w_total, path)
+                rows = write_wigner_csv(result.w_total, path)
                 files.append(path)
                 diag = dict(result.diagnostics)
                 sidecar = {
@@ -212,7 +223,7 @@ def run(config):
                                                 "30% perturbativity guard")
                 if config.plot_data and config.grid.d == 1:
                     files.extend(emit_plot_data(
-                        result.w_total, os.path.join(config.out_dir, tag)))
+                        result.w_total, os.path.join(config.out_dir, tag), rows))
 
         elif config.mode == "certify":
             t, = config.times

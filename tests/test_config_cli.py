@@ -264,6 +264,28 @@ def test_plot_data_renders_each_value_exactly(tmp_path):
     assert tri[0].split()[2] == "-0" and tri[2].split()[2] == "1.0000000000000001e+300"
 
 
+def test_plot_data_reuses_the_csv_rendering(tmp_path):
+    """The rows `write_wigner_csv` renders and `emit_plot_data` reuses give
+    the bytes of an independent per-value %.17g rendering in both files."""
+    w = _planted_wigner(1)
+    x, p = w.grid.x_nodes, w.grid.p_nodes
+
+    def f(v):
+        return "%.17g" % float(v)
+
+    csv = ["x\\p," + ",".join(f(v) for v in p)]
+    csv += [f(x[i]) + "," + ",".join(f(w.values[i, j]) for j in range(len(p)))
+            for i in range(len(x))]
+    tri = []
+    for i in range(len(x)):
+        tri += [f"{f(x[i])} {f(p[j])} {f(w.values[i, j])}" for j in range(len(p))]
+        tri.append("")
+    rows = write_wigner_csv(w, str(tmp_path / "w.csv"))
+    emit_plot_data(w, str(tmp_path / "t0"), rows)
+    assert (tmp_path / "w.csv").read_bytes() == ("\n".join(csv) + "\n").encode()
+    assert (tmp_path / "t0_wigner.dat").read_bytes() == ("\n".join(tri) + "\n").encode()
+
+
 def test_partial_manifest_on_any_exception(tmp_path, monkeypatch):
     import wignerbath.runio as runio
 

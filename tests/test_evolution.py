@@ -9,18 +9,28 @@ from wignerbath import (InitialStateSpec, ModelParams, QuadratureSpec,
                         make_initial_wigner, evolve, evolve_zeroth,
                         diagram_gain, diagram_loss_left, diagram_loss_right)
 from wignerbath.states import balanced_grid, wigner_closed
-from wignerbath.wigner import observables
+from wignerbath.wigner import WignerFunction, observables
 from wignerbath import evolution
 from wignerbath.evolution import (_diagram_with_report, seg_e0, seg_e1,
                                   strip_gain_integral, window_loss_integral,
                                   modes_from_grid, modes_from_closed,
-                                  _diagram_core, _e0, _f, _q_lattice,
-                                  _resolve_modes, _term_trace)
+                                  _diagram_core, _e0, _f, _expm1i, _q_lattice,
+                                  _rank_factors, _resolve_modes, _term_trace)
 
 
 # ---------------------------------------------------------------------------
 # closed-form time-integral helpers
 # ---------------------------------------------------------------------------
+
+def test_expm1i_equals_complex_expm1():
+    """The split expm1(ix) has the values of numpy's complex expm1 on a zero
+    real part, from 1e-300 to 1e5 in size, either sign, and at 0."""
+    rng = np.random.default_rng(11)
+    mag = np.logspace(-300, 5, 10_000)
+    x = np.concatenate([rng.uniform(-50.0, 50.0, 200_000), mag, -mag, [0.0, -0.0]])
+    assert np.array_equal(_expm1i(x), np.expm1(1j * x))
+    assert _expm1i(0.25).shape == ()
+
 
 def test_segment_integrals_against_quadrature():
     from numpy.polynomial.legendre import leggauss
@@ -455,6 +465,64 @@ def test_diagram_core_matches_direct_evaluation(gauss_spec, backend, term):
         assert (masked > 0) == (backend == "grid")
         assert (mixed > 0 and empty > 0) == (backend == "grid")
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("case", ("cat-closed", "cat-grid", "noisy-grid"))
+def test_diagram_core_matches_direct_evaluation_above_rank_one(gauss_spec, case):
+    """The gain through the rank factors of the mode coefficients, and a
+    loss, equal the direct evaluation within 1e-12 relative when the
+    coefficients have rank > 1: a cat on either backend (rank 2: its
+    interference atoms share one position factor), and a Gaussian plus unit
+    noise on the grid, whose 17 x 17 coefficients have rank 16 (the split
+    Nyquist row pair is one mode)."""
+    kind, backend = case.split("-")
+    spec = (InitialStateSpec(kind="cat", x0=(0.0,), p0=(0.0,), sigma=1.0,
+                             separation=2.0, phase=0.7) if kind == "cat" else gauss_spec)
+    grid = balanced_grid(spec, 16)
+    w0 = make_initial_wigner(spec, grid, boundary_tol=1e-3)
+    if kind == "noisy":
+        noise = np.random.default_rng(0).standard_normal(w0.values.shape)
+        w0 = dataclasses.replace(w0, values=w0.values + noise, normalized=False,
+                                 source=None)
+    quad = QuadratureSpec(n_k=16, k_max=8.0)
+    t = 0.7
+    for params in (ModelParams(d=1, m_s=1.3, m_e=0.7, g=0.1, lambda_uv=8.0),
+                   ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=8.0, t_env=0.7)):
+        modes = _resolve_modes(w0, params, t, quad, backend)
+        rank = _rank_factors(modes.coef)[1].shape[0]
+        assert rank == (modes.coef.shape[0] - 1 if kind == "noisy" else 2)
+        for term in ("gain", "loss_left"):
+            got, _ = _diagram_core(term, modes, grid, params, t, quad)
+            ref, masked, _, _ = _direct_core(term, modes, grid, params, t, quad)
+            assert (masked > 0) == (backend == "grid")
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_rank_factors(gauss_spec, cat_spec):
+    """coef = A B within numpy's matrix_rank tolerance sigma_1 max(M, L) eps
+    (spectral norm), at that rank: 1 for a closed Gaussian, at most 4 (one
+    per atom) for a closed cat, full for random coefficients, and 0 for a
+    zero state, whose gain is then zero."""
+    def check(coef):
+        a_fac, b_fac = _rank_factors(coef)
+        tol = np.linalg.norm(coef, 2) * max(coef.shape) * np.finfo(float).eps
+        assert a_fac.shape == (coef.shape[0], b_fac.shape[0])
+        assert b_fac.shape == (a_fac.shape[1], coef.shape[1])
+        assert np.linalg.norm(a_fac @ b_fac - coef, 2) <= tol
+        assert b_fac.shape[0] == np.linalg.matrix_rank(coef)
+        return b_fac.shape[0]
+
+    assert check(modes_from_closed(gauss_spec, 0.2, x_reach=6.0).coef) == 1
+    assert 1 < check(modes_from_closed(cat_spec, 0.2, x_reach=6.0).coef) <= 4
+    rng = np.random.default_rng(2)
+    assert check(rng.standard_normal((9, 7)) + 1j * rng.standard_normal((9, 7))) == 7
+    grid = balanced_grid(gauss_spec, 16)
+    zero = WignerFunction(grid=grid, t=0.0, values=np.zeros(grid.value_shape()))
+    params = ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=8.0)
+    quad = QuadratureSpec(n_k=16, k_max=8.0)
+    modes = _resolve_modes(zero, params, 0.7, quad, "grid")
+    assert check(modes.coef) == 0
+    assert not np.any(_diagram_core("gain", modes, grid, params, 0.7, quad)[0])
 
 
 def test_loss_mirror_identity(gentle_instance):
