@@ -83,10 +83,22 @@ Only the k integral is numerical: composite Gauss-Legendre panels whose
 count scales with the analytic phase range, so the oscillatory UV tail is
 always resolved; n_k sets the nodes per panel.  Each term's error estimate
 is its change under a rerun at half the panels (at least one fewer).
+
+Unitarity trace.  The direct expression is trace preserving, so the
+correction integrates to zero over phase space: gain = 2 Re(loss_left)
+there.  Each term's integral (its report's "trace") comes from one more
+`_diagram_core` call: over one x period only the u = 0 row j0 survives, so
+that row is evaluated at one x node, unbounded in x, on the p lattice dp
+covering the momentum box (widened by the k reach for the gain).  It runs
+through the same q-lattice tables and gathers, rank factors, p and p + k
+masks, chunking and thermal branches as the terms on the output grid, in
+any d.  It does not reach the clipped-window elements (`trace_defect_window`
+and the oracle cover those), and it takes Re(loss_left) only, so it does not
+check loss_left's imaginary (energy-shift) part.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -101,7 +113,6 @@ CLOSED_PAD = 3.0          # closed modes: extra widths of period beyond that
 COEF_TRUNC = 1e-19        # closed-form mode coefficient truncation
 PHASE_PER_PANEL = 24.0    # analytic phase (radians) covered by one k panel
 _CHUNK_BYTES = 1 << 24    # 16 MB cap for a k chunk's and a clipped slice's tensors
-_TRACE_BYTES = 1 << 24    # cap for one trace chunk's (L, nodes, p nodes) phases
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +479,9 @@ def _rank_factors(coef):
     return a_fac[:, :rank] * sv[:rank], b_fac[:rank]
 
 
-def _diagram_core(term, modes, grid, params, t, quad, panel_factor=1.0):
-    """One second-order term on the output grid, coupling factored out.
+def _diagram_core(term, modes, X, P, dp, params, t, quad, panel_factor=1.0):
+    """One second-order term at the points X (N_x, d) and P (N_p, d), P on
+    the lattice dp, coupling factored out; an (N_x, N_p) array.
 
     Every (p, k) column enters the (M, N_p) sum from the q-lattice tables
     (module docstring), the gain's through the rank-R factors of the
@@ -481,8 +493,6 @@ def _diagram_core(term, modes, grid, params, t, quad, panel_factor=1.0):
     """
     d = params.d
     m = params.m_s
-    X = _tensor_points([grid.x_nodes] * d)                   # (Nx, d)
-    P = _tensor_points([grid.p_nodes] * d)                   # (Np, d)
     nx, npts = X.shape[0], P.shape[0]
     M, L = modes.coef.shape
 
@@ -490,7 +500,7 @@ def _diagram_core(term, modes, grid, params, t, quad, panel_factor=1.0):
     k, wk, panels = _k_nodes(params, quad, t, modes.u_max, p_scale, panel_factor)
     omega = np.sqrt(np.sum(k**2, axis=-1) + params.m_e**2)
     branches = _thermal_branches(omega, params)
-    qv, iqp, iqm = _q_lattice(modes, P, grid.dp)
+    qv, iqp, iqm = _q_lattice(modes, P, dp)
     iq = iqm if term == "loss_right" else iqp
 
     xt = X[:, None, :] - P[None, :, :] * (t / m)             # (Nx, Np, d)
@@ -574,72 +584,7 @@ def _diagram_core(term, modes, grid, params, t, quad, panel_factor=1.0):
     if np.ndim(contrib):
         out += np.einsum("jx,jp,jxp->xp", ux_phase, weight,
                          contrib.reshape(M, nx, npts))
-    return out.reshape(grid.value_shape()), panels
-
-
-def _term_trace(term, modes, params, t, quad):
-    """Full phase-space integral of one term (d = 1, unwindowed dynamics).
-
-    The x integral projects onto the zero position-frequency mode over one
-    expansion period; the p integral follows the momentum support shifted by
-    each transfer node, so mass scattered past any finite output window is
-    still counted.  Used for the unitarity (trace cancellation) diagnostic.
-    Transfer nodes that share a p-panel count are evaluated together, in
-    chunks whose (L, nodes, p nodes) phase array stays within _TRACE_BYTES.
-
-    The time factor is |E0(b, t)|^2 for the gain and F(b, t) for a loss.
-    After q = p + k the gain's phase is minus loss_left's, b = -B, and
-    2 Re F(B, t) = |E0(B, t)|^2 = 2 (1 - cos Bt)/B^2, so the gain's integrand
-    equals 2 Re of loss_left's pointwise.  Their difference therefore checks
-    the kernels' consistency and signs to rounding; it says nothing about
-    the output-grid diagrams (windows, masks, k quadrature on the grid).
-    """
-    if params.d != 1:
-        raise NotImplementedError("dedicated trace is implemented for d = 1")
-    m = params.m_s
-    j0 = int(np.argmin(np.sum(np.abs(modes.u), axis=-1)))
-    if np.any(modes.u[j0] != 0.0):
-        raise RuntimeError("mode set lacks the zero position frequency")
-    c0 = modes.coef[j0]                                     # (L,)
-    s0 = modes.s[:, 0]
-    x_factor = float(modes.x_box[0, 1] - modes.x_box[0, 0])
-    q_lo, q_hi = modes.q_box[0]
-
-    k, wk, _ = _k_nodes(params, quad, t, 0.0,
-                        float(max(abs(q_lo), abs(q_hi))))
-    k = k[:, 0]
-    omega = np.sqrt(k**2 + params.m_e**2)
-    branches = _thermal_branches(omega, params)
-
-    phase = np.abs(k) * t * (q_hi - q_lo) / m + 2 * np.pi
-    p_panels = np.maximum(1, np.ceil(phase / (1.5 * quad.n_k)).astype(int))
-    total = 0.0 + 0.0j
-    for count in np.unique(p_panels):
-        group = np.flatnonzero(p_panels == count)
-        step = max(1, _TRACE_BYTES // (16 * s0.size * int(count) * quad.n_k))
-        for i0 in range(0, group.size, step):
-            b = group[i0:i0 + step]
-            ki, omi = k[b, None], omega[b, None]
-            if term == "gain":
-                pn, pw = gauss_panels(q_lo - k[b], q_hi - k[b], quad.n_k, int(count))
-                q = pn + ki
-                gq = np.where((q >= q_lo) & (q <= q_hi),
-                              np.einsum("l,l...->...", c0,
-                                        np.exp(1j * s0[:, None, None] * q)), 0.0)
-            else:
-                pn, pw = gauss_panels(q_lo, q_hi, quad.n_k, int(count))
-                gq = np.einsum("l,l...->...", c0, np.exp(1j * s0[:, None] * pn))
-            dd = pn * ki / m + 0.5 * ki**2 / m
-            for sgn, wgt_full in branches:
-                wgt = wgt_full[b] if np.ndim(wgt_full) else wgt_full
-                meas = wk[b] * wgt / (2.0 * np.pi * 2.0 * omega[b])
-                if term == "gain":
-                    tfac = np.abs(_e0(-dd + sgn * omi, t)) ** 2
-                else:
-                    bl = dd - ki**2 / m - sgn * omi   # p k/m - k^2/2m - sgn w
-                    tfac = _f(bl if term == "loss_left" else -bl, t)
-                total += meas @ np.sum(pw * gq * tfac, axis=-1)
-    return complex(x_factor * total)
+    return out, panels
 
 
 def _resolve_modes(w0, params, t, quad, backend):
@@ -654,21 +599,43 @@ def _resolve_modes(w0, params, t, quad, backend):
 
 
 def _diagram_with_report(term, w0, params, t, quad, backend="auto"):
-    """Complex-valued term plus its quadrature report."""
+    """Complex-valued term plus its quadrature report.
+
+    The report's "trace" is the real part of the term's integral over all of
+    phase space (module docstring), from a `_diagram_core` call at full
+    panels on the u = 0 row; the half-panel run computes none.
+    """
     if t < 0.0:
         raise ValueError("t must be >= 0")
     grid = w0.grid
-    if grid.d != params.d:
+    d, dp = grid.d, grid.dp
+    if d != params.d:
         raise ValueError("grid dimension does not match params.d")
     if t == 0.0:
         zero = np.zeros(grid.value_shape(), dtype=complex)
         return zero, {"term": term, "panels": 0, "err_est": 0.0,
                       "rel_err_est": 0.0, "converged": True, "max_imag": 0.0,
-                      "time_integration": "exact"}
+                      "trace": 0.0, "time_integration": "exact"}
     modes = _resolve_modes(w0, params, t, quad, backend)
-    vals, panels = _diagram_core(term, modes, grid, params, t, quad)
-    vals_h, _ = _diagram_core(term, modes, grid, params, t, quad,
+    X, P = (_tensor_points([v] * d) for v in (grid.x_nodes, grid.p_nodes))
+    vals, panels = _diagram_core(term, modes, X, P, dp, params, t, quad)
+    vals_h, _ = _diagram_core(term, modes, X, P, dp, params, t, quad,
                               panel_factor=0.5)
+
+    # the trace: the u = 0 row at one x node, unbounded in x, on the lattice dp
+    # over the momentum box, widened by the k reach for the gain
+    j0 = int(np.argmin(np.sum(np.abs(modes.u), axis=-1)))
+    if np.any(modes.u[j0] != 0.0):
+        raise RuntimeError("mode set lacks the zero position frequency")
+    row = replace(modes, u=modes.u[j0:j0 + 1], coef=modes.coef[j0:j0 + 1],
+                  x_box=np.array([[-np.inf, np.inf]] * d))
+    reach = quad.resolved_k_max(params) if term == "gain" else 0.0
+    p_row = _tensor_points([dp * np.arange(np.ceil((lo - reach) / dp),
+                                           np.floor((hi + reach) / dp) + 1)
+                            for lo, hi in modes.q_box])
+    per_p, _ = _diagram_core(term, row, np.zeros((1, d)), p_row, dp, params, t, quad)
+    x_period = np.prod(modes.x_box[:, 1] - modes.x_box[:, 0])
+
     cell = grid.cell_volume
     err = float(np.sum(np.abs(vals - vals_h)) * cell)
     norm1 = float(np.sum(np.abs(vals)) * cell)
@@ -680,9 +647,10 @@ def _diagram_with_report(term, w0, params, t, quad, backend="auto"):
         "rel_err_est": rel,
         "converged": bool(norm1 == 0.0 or rel <= quad.rel_tol),
         "max_imag": float(np.max(np.abs(vals.imag))),
+        "trace": float(np.sum(per_p.real) * x_period * dp**d),
         "time_integration": "exact",
     }
-    return vals, report
+    return vals.reshape(grid.value_shape()), report
 
 
 def diagram_gain(w0, params, t, quad, backend="auto"):
@@ -797,24 +765,25 @@ class EvolutionResult:
 def evolve(w0, params, t, quad=None, backend="auto", workers=1):
     """Assemble W(t) = zeroth + g^2 (gain - loss_left - loss_right).
 
-    Diagnostics: second-order trace defect (the three terms must cancel
-    under the full phase-space sum), imaginary residues, Hermiticity defect
-    of the reconstructed density matrix, per-term quadrature reports, and a
-    perturbativity flag when the correction exceeds 30% of the zeroth order
-    in L1.  In d = 1, `trace_defect_g2` comes from `_term_trace`, whose gain
-    and loss integrands coincide pointwise (2 Re F = |E0|^2), so it detects
-    inconsistent time kernels or signs, to rounding, but not errors of the
-    diagrams on the output grid; `trace_defect_window` is the correction's
-    sum over the output grid.  `workers` parallelizes the two diagram
-    evaluations (gain and loss_left); results are bitwise identical for any
-    worker count.
+    Diagnostics: second-order trace defect, imaginary residues, Hermiticity
+    defect of the reconstructed density matrix, per-term quadrature reports
+    (each with the term's phase-space "trace"), and a perturbativity flag
+    when the correction exceeds 30% of the zeroth order in L1.
+    `trace_defect_g2` is the gain's trace less twice loss_left's (module
+    docstring): it checks the q-lattice tables and gathers, the rank
+    factors, the p and p + k masks, the chunking and the thermal branches,
+    in any d.  It does not check the clipped-window elements, which
+    `trace_defect_window` (the correction's sum over the output grid) and
+    the oracle cover, nor the imaginary (energy-shift) part of loss_left.
+    `workers` parallelizes the two diagram evaluations (gain and
+    loss_left); results are bitwise identical for any worker count.
 
     loss_right is taken as conj(loss_left), its quadrature report copied
-    from loss_left's, and the trace defect uses Re(gain) - 2 Re(loss_left).
-    The imaginary part of gain - loss_left - conj(loss_left) is the gain's,
-    so `max_imag_residue` checks only the gain's reality; the mirror
-    identity itself is checked by `diagram_loss_right` and certification,
-    which evaluate loss_right independently.
+    from loss_left's.  The imaginary part of gain - loss_left -
+    conj(loss_left) is the gain's, so `max_imag_residue` checks only the
+    gain's reality; the mirror identity itself is checked by
+    `diagram_loss_right` and certification, which evaluate loss_right
+    independently.
 
     The zeroth order is the spectral shear of the grid samples
     (`evolve_zeroth`), except on the closed backend, which takes it from the
@@ -848,16 +817,6 @@ def evolve(w0, params, t, quad=None, backend="auto", workers=1):
                              normalized=w0.normalized, source=None)
 
     cell = w0.grid.cell_volume
-    trace_window = float(np.sum(correction) * cell)
-    # unitarity diagnostic over all of phase space (d = 1); the finite output
-    # window may lose genuinely scattered mass, reported separately
-    if params.d == 1 and t > 0.0:
-        modes = _resolve_modes(w0, params, t, quad, backend)
-        trace_defect = float(
-            np.real(_term_trace("gain", modes, params, t, quad))
-            - 2.0 * np.real(_term_trace("loss_left", modes, params, t, quad)))
-    else:
-        trace_defect = trace_window
     gain_l1 = float(np.sum(np.abs(gain)) * cell)
     corr_l1 = g2 * float(np.sum(np.abs(correction)) * cell)
     zeroth_l1 = float(np.sum(np.abs(w_zeroth.values)) * cell)
@@ -865,8 +824,8 @@ def evolve(w0, params, t, quad=None, backend="auto", workers=1):
 
     rho_t = density_from_wigner(w_total)
     diagnostics = {
-        "trace_defect_g2": trace_defect,
-        "trace_defect_window": trace_window,
+        "trace_defect_g2": rep_g["trace"] - 2.0 * rep_ll["trace"],
+        "trace_defect_window": float(np.sum(correction) * cell),
         "gain_l1": gain_l1,
         "max_imag_residue": float(np.max(np.abs(correction_c.imag))),
         "hermiticity_defect": rho_t.hermiticity_defect(),

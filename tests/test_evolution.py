@@ -8,14 +8,15 @@ from hypothesis import given, settings, strategies as st
 from wignerbath import (InitialStateSpec, ModelParams, QuadratureSpec,
                         make_initial_wigner, evolve, evolve_zeroth,
                         diagram_gain, diagram_loss_left, diagram_loss_right)
-from wignerbath.states import balanced_grid, wigner_closed
+from wignerbath.states import balanced_grid, density_closed, wigner_closed
+from wignerbath.propagators import bose_occupation, gauss_panels
 from wignerbath.wigner import WignerFunction, observables
 from wignerbath import evolution
 from wignerbath.evolution import (_diagram_with_report, seg_e0, seg_e1,
                                   strip_gain_integral, window_loss_integral,
                                   modes_from_grid, modes_from_closed,
                                   _diagram_core, _e0, _f, _expm1i, _q_lattice,
-                                  _rank_factors, _resolve_modes, _term_trace)
+                                  _rank_factors, _resolve_modes, _tensor_points)
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +391,13 @@ def test_small_time_quadratic_scaling(tiny_instance):
         assert r2 == pytest.approx(4.0, rel=0.05)
 
 
+def _core_on_grid(term, modes, grid, params, t, quad):
+    """`_diagram_core` at the grid's nodes, in the grid's value shape."""
+    X, P = (_tensor_points([v] * grid.d) for v in (grid.x_nodes, grid.p_nodes))
+    return _diagram_core(term, modes, X, P, grid.dp, params, t, quad)[0].reshape(
+        grid.value_shape())
+
+
 def _direct_core(term, modes, grid, params, t, quad):
     """The term from its kernels on the whole (M, N_p, K) tensor, d = 1: the
     reference of `test_diagram_core_matches_direct_evaluation`.
@@ -460,7 +468,7 @@ def test_diagram_core_matches_direct_evaluation(gauss_spec, backend, term):
     for params in (ModelParams(d=1, m_s=1.3, m_e=0.7, g=0.1, lambda_uv=8.0),
                    ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=8.0, t_env=0.7)):
         modes = _resolve_modes(w0, params, t, quad, backend)
-        got, _ = _diagram_core(term, modes, grid, params, t, quad)
+        got = _core_on_grid(term, modes, grid, params, t, quad)
         ref, masked, mixed, empty = _direct_core(term, modes, grid, params, t, quad)
         assert (masked > 0) == (backend == "grid")
         assert (mixed > 0 and empty > 0) == (backend == "grid")
@@ -492,7 +500,7 @@ def test_diagram_core_matches_direct_evaluation_above_rank_one(gauss_spec, case)
         rank = _rank_factors(modes.coef)[1].shape[0]
         assert rank == (modes.coef.shape[0] - 1 if kind == "noisy" else 2)
         for term in ("gain", "loss_left"):
-            got, _ = _diagram_core(term, modes, grid, params, t, quad)
+            got = _core_on_grid(term, modes, grid, params, t, quad)
             ref, masked, _, _ = _direct_core(term, modes, grid, params, t, quad)
             assert (masked > 0) == (backend == "grid")
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -522,7 +530,7 @@ def test_rank_factors(gauss_spec, cat_spec):
     quad = QuadratureSpec(n_k=16, k_max=8.0)
     modes = _resolve_modes(zero, params, 0.7, quad, "grid")
     assert check(modes.coef) == 0
-    assert not np.any(_diagram_core("gain", modes, grid, params, 0.7, quad)[0])
+    assert not np.any(_core_on_grid("gain", modes, grid, params, 0.7, quad))
 
 
 def test_loss_mirror_identity(gentle_instance):
@@ -654,14 +662,16 @@ def test_chunk_budget_does_not_change_the_terms(gauss_spec, monkeypatch, term):
     """A budget small enough for one k node per chunk and a few clipped
     elements per slice gives the default-budget term within 1e-14 relative
     on the grid backend (thermal bath: both branches), and every windowed
-    kernel call keeps its (M, E) elements within the budget."""
+    kernel call keeps its (M, E) elements within the budget; so does the
+    term's phase-space trace, whose own call is chunked by the same budget."""
     grid = balanced_grid(gauss_spec, 16)
     w0 = make_initial_wigner(gauss_spec, grid, boundary_tol=1e-4)
     params = ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=8.0, t_env=0.7)
     quad = QuadratureSpec(n_k=16, k_max=8.0)
     t = 0.7
     modes = _resolve_modes(w0, params, t, quad, "grid")
-    ref, _ = _diagram_core(term, modes, grid, params, t, quad)
+    ref = _core_on_grid(term, modes, grid, params, t, quad)
+    ref_trace = _diagram_with_report(term, w0, params, t, quad, "grid")[1]["trace"]
     budget = 1 << 16
     sizes = []
     name = "strip_gain_integral" if term == "gain" else "window_loss_integral"
@@ -674,25 +684,14 @@ def test_chunk_budget_does_not_change_the_terms(gauss_spec, monkeypatch, term):
 
     monkeypatch.setattr(evolution, name, counted)
     monkeypatch.setattr(evolution, "_CHUNK_BYTES", budget)
-    got, _ = _diagram_core(term, modes, grid, params, t, quad)
+    got = _core_on_grid(term, modes, grid, params, t, quad)
     k_nodes = evolution._k_nodes(params, quad, t, modes.u_max,
                                  float(np.max(np.abs(grid.p_nodes))))[0].shape[0]
     assert len(sizes) > 2 * k_nodes
     assert max(sizes) * 16 * 24 <= budget
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
-
-
-def test_trace_chunks_do_not_change_the_trace(gentle_instance, monkeypatch):
-    """One transfer node per chunk and one chunk per panel count agree."""
-    w0, t, quad = (gentle_instance[k] for k in ("w0", "t", "quad"))
-    params = ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=6.0, t_env=0.7)
-    modes = _resolve_modes(w0, params, t, quad, "auto")
-    for term in ("gain", "loss_left", "loss_right"):
-        vals = []
-        for budget in (1, 1 << 62):
-            monkeypatch.setattr(evolution, "_TRACE_BYTES", budget)
-            vals.append(_term_trace(term, modes, params, t, quad))
-        assert abs(vals[0] - vals[1]) <= 1e-14 * abs(vals[1])
+    got_trace = _diagram_with_report(term, w0, params, t, quad, "grid")[1]["trace"]
+    assert abs(got_trace - ref_trace) <= 1e-14 * abs(ref_trace)
 
 
 # ---------------------------------------------------------------------------
@@ -776,3 +775,103 @@ def test_thermal_branches_run(gentle_instance):
     assert r_warm.diagnostics["max_imag_residue"] < 1e-10
     assert abs(r_warm.diagnostics["trace_defect_g2"]) <= \
         max(1e-4 * r_warm.diagnostics["gain_l1"], 1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(x0=st.floats(-0.5, 0.5), p0=st.floats(-0.3, 0.3), sigma=st.floats(0.8, 0.9),
+       t_env=st.sampled_from((0.0, 0.7)))
+def test_trace_balance_and_reality_hold_for_gaussians(x0, p0, sigma, t_env):
+    """On the 32-node gentle grid, any Gaussian in these ranges (all of which
+    fit its box at t = 0.6) keeps the phase-space trace of the correction
+    within 1e-4 gain_l1 and its imaginary part at rounding, vacuum or warm."""
+    spec = InitialStateSpec(kind="gaussian", x0=(x0,), p0=(p0,), sigma=sigma)
+    grid = balanced_grid(InitialStateSpec(kind="gaussian", x0=(0.0,), p0=(0.0,),
+                                          sigma=1.0), 32)
+    w0 = make_initial_wigner(spec, grid, boundary_tol=1e-4)
+    params = ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=6.0, t_env=t_env)
+    d = evolve(w0, params, 0.6, QuadratureSpec(n_k=24, k_max=6.0)).diagnostics
+    assert abs(d["trace_defect_g2"]) <= 1e-4 * d["gain_l1"]
+    assert d["max_imag_residue"] < 1e-10
+
+
+@pytest.mark.parametrize("backend", ("closed", "grid"))
+def test_trace_defect_catches_gain_mutations(gentle_instance, monkeypatch, backend):
+    """The trace balance gain = 2 Re(loss_left) holds within 1e-4 gain_l1,
+    and breaks past it when only the gain is computed with the frequency
+    sign of its Bose branches flipped (vacuum and warm) or without its
+    p + k momentum-box mask: the traces come from the diagrams' own tables,
+    masks and branches, not from a separate quadrature."""
+    w0, t, quad = (gentle_instance[k] for k in ("w0", "t", "quad"))
+    cell = gentle_instance["grid"].cell_volume
+    branches = evolution._thermal_branches
+    mutations = (("_thermal_branches",
+                  lambda omega, params: [(-sgn, wgt) for sgn, wgt in branches(omega, params)]),
+                 ("_in_q_box", lambda modes, q: np.ones(q.shape[:-1], dtype=bool)))
+    for t_env in (0.0, 0.7):
+        params = ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=6.0, t_env=t_env)
+        gain, rep = _diagram_with_report("gain", w0, params, t, quad, backend)
+        loss = _diagram_with_report("loss_left", w0, params, t, quad, backend)[1]["trace"]
+        bound = 1e-4 * float(np.sum(np.abs(gain.real)) * cell)
+        assert abs(rep["trace"] - 2.0 * loss) <= bound
+        for name, mutant in mutations:
+            with monkeypatch.context() as patch:
+                patch.setattr(evolution, name, mutant)
+                mutated = _diagram_with_report("gain", w0, params, t, quad, backend)[1]
+            assert abs(mutated["trace"] - 2.0 * loss) > bound, name
+
+
+def _static_source_correction(spec, grid, params, t):
+    """-Wigner[Gamma rho0] at the grid nodes, d = 1: the O(g^2) correction
+    (coupling factored out) of the static-source limit m_s -> oo, the
+    pure-dephasing model rho(x, y, t) = rho0(x, y) e^{-g^2 Gamma(x - y, t)}
+    with Gamma(r, t) = Int_{|k| <= lambda} dk/(2 pi 2 w) 2 sin^2(kr/2)
+    (1 + 2n(w)) |E0(w, t)|^2 and |E0|^2 = 2 (1 - cos wt)/w^2 (Breuer and
+    Petruccione, The Theory of Open Quantum Systems, ch. 4).  Gamma takes one
+    Gauss-Legendre rule in k for every r; W the trapezoid sum in z of
+    (1/pi) rho(x - z, x + z) e^{2ipz} over |z| <= 12."""
+    k, wk = gauss_panels(-params.lambda_uv, params.lambda_uv, 48, 8)
+    omega = np.sqrt(k**2 + params.m_e**2)
+    rate = (wk * (1.0 + 2.0 * bose_occupation(omega, params.t_env))
+            * 2.0 * (1.0 - np.cos(omega * t)) / omega**2 / (2.0 * np.pi * 2.0 * omega))
+    z = np.linspace(-12.0, 12.0, 1201)
+    gamma = 2.0 * np.sin(z[:, None] * k) ** 2 @ rate          # Gamma(2z)
+    x, p = grid.x_nodes, grid.p_nodes
+    rho = density_closed(spec, x[:, None] - z, x[:, None] + z)
+    return -((rho * gamma) @ np.exp(2j * np.outer(z, p))).real * (z[1] - z[0]) / np.pi
+
+
+@pytest.mark.parametrize("separation", (None, 3.0))
+def test_static_source_limit(monkeypatch, separation):
+    """As m_s grows, gain - loss_left - loss_right tends to the exactly
+    solvable static-source correction -Wigner[Gamma rho0], with an error
+    exactly proportional to 1/m_s: at most 1e-6 of its sup at m_s = 1e6 and
+    100 times smaller than at m_s = 1e4 within 1 %, for a Gaussian and a cat.
+    A gain of the wrong sign misses the first bound."""
+    spec = (InitialStateSpec(kind="gaussian", x0=(0.0,), p0=(0.0,), sigma=1.0)
+            if separation is None else
+            InitialStateSpec(kind="cat", x0=(0.0,), p0=(0.0,), sigma=1.0,
+                             separation=separation))
+    grid = balanced_grid(spec, 64)
+    w0 = make_initial_wigner(spec, grid)
+    quad = QuadratureSpec(n_k=24, k_max=6.0)
+    t = 0.5
+    ref = _static_source_correction(spec, grid, ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1,
+                                                            lambda_uv=6.0), t)
+
+    def error(m_s):
+        params = ModelParams(d=1, m_s=m_s, m_e=1.0, g=0.1, lambda_uv=6.0)
+        res = evolve(w0, params, t, quad)
+        corr = res.w_gain - res.w_loss_left - res.w_loss_right
+        return np.max(np.abs(corr - ref)) / np.max(np.abs(ref))
+
+    err_4, err_6 = error(1e4), error(1e6)
+    assert err_6 <= 1e-6
+    assert err_4 / err_6 == pytest.approx(100.0, rel=0.01)
+    diagram = evolution._diagram_with_report
+
+    def flipped(term, *args):
+        vals, rep = diagram(term, *args)
+        return (-vals if term == "gain" else vals), rep
+
+    monkeypatch.setattr(evolution, "_diagram_with_report", flipped)
+    assert error(1e6) > 1e-6
