@@ -31,9 +31,6 @@ from .evolution import (
     QuadratureSpec,
     EvolutionResult,
     evolve_zeroth,
-    diagram_gain,
-    diagram_loss_left,
-    diagram_loss_right,
     evolve,
 )
 
@@ -57,8 +54,5 @@ __all__ = [
     "QuadratureSpec",
     "EvolutionResult",
     "evolve_zeroth",
-    "diagram_gain",
-    "diagram_loss_left",
-    "diagram_loss_right",
     "evolve",
 ]

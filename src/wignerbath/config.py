@@ -8,7 +8,7 @@ name with the nearest valid key suggested; all invariant violations are
 reported together, not one at a time.
 
     mode         transform | evolve | observables | certify
-    d            spatial dimension (1 or 3)
+    d            spatial dimension (1 or 3; certify runs in 1)
     n_x          grid points per axis (even, >= 8)
     dx           grid spacing (omit for the balanced spacing of the state)
     x_min        leftmost node (omit to center the box on the state)
@@ -28,7 +28,7 @@ reported together, not one at a time.
     out.dir      output directory
     out.plot_data  true | false  (gnuplot triplet files)
     workers      worker threads for the diagram evaluations
-    backend      auto | grid | closed
+    backend      auto | grid
     boundary_tol relative tail tolerance at the box boundary
 """
 
@@ -159,21 +159,26 @@ def parse_config(text, overrides=None):
     if plot_flag not in ("true", "false", "1", "0", "yes", "no"):
         errors.append(f"out.plot_data: {raw['out.plot_data']!r} is not a boolean")
     backend = raw["backend"]
-    if backend not in ("auto", "grid", "closed"):
-        errors.append(f"backend: {backend!r} is not auto/grid/closed")
+    if backend not in ("auto", "grid"):
+        errors.append(f"backend: {backend!r} is not auto/grid ('closed' is retired: "
+                      "auto takes the closed path for a closed-form state)")
+    if mode == "certify" and d not in (None, 1):
+        errors.append(f"d: certify mode runs in d = 1 only, got d = {d}")
 
     model = initial = grid = quad = None
-    if d is not None and x0 is not None and len(x0) == 1 and d == 3:
-        x0 = x0 * 3
-    if d is not None and p0 is not None and len(p0) == 1 and d == 3:
-        p0 = p0 * 3
+    if d == 3:
+        x0, p0 = (v * 3 if v is not None and len(v) == 1 else v for v in (x0, p0))
+    dim_errors = [f"{key}: {len(v)} components for d = {d}"
+                  for key, v in (("state.x0", x0), ("state.p0", p0))
+                  if None not in (d, v) and len(v) != d]
+    errors += dim_errors
     if None not in (d, m_s, m_e, g, t_env, lam):
         try:
             model = ModelParams(d=d, m_s=m_s, m_e=m_e, g=g, t_env=t_env,
                                 lambda_uv=lam)
         except ValueError as exc:
             errors.append(f"model: {exc}")
-    if None not in (sigma, sep, phase) and x0 is not None and p0 is not None:
+    if not dim_errors and None not in (sigma, sep, phase, x0, p0):
         try:
             initial = InitialStateSpec(kind=raw["state.kind"], x0=x0, p0=p0,
                                        sigma=sigma, separation=sep, phase=phase)

@@ -52,9 +52,9 @@ b1 - b2 (`strip_gain_integral`).  An empty window has d = 0, hence value 0.
 
 q-lattice tables.  The full-window phases depend on (p, u_j) only through
 q+- = p +- u_j/2: beta1 = b(q+), beta2 = -b(q-) with
-b(q) = -(q.k/m + k^2/2m - w_k), and B = B(q+), B~ = -B(q-) with
+b(q) = -(q.k/m + k^2/2m - w_k), and B = B(q+) with
 B(q) = q.k/m - k^2/2m - w_k.  p lies on the lattice dp and u_j/2 on dp/R
-(the closed backend aligns its period to make it so), so per k chunk the
+(the closed modes align their period to make it so), so per k chunk the
 kernels are tabulated from plain expm1 on the N_q ~ M + R N_p lattice
 momenta (d = 1), not 2 M N_p, and gathered (`_q_lattice`): the gain's
 I = E0(b(q+)) conj(E0(b(q-))), as E0(-b) = conj(E0(b)); a loss's F summed
@@ -68,9 +68,10 @@ and sums I G ww over k as one matmul per p, (M, K) @ (K, R); A contracts
 the (N_p, M, R) sum once at the end.
 
 loss_right is the complex conjugate of loss_left (B~ = -B once u_j -> -u_j,
-and the coefficients of a real W0 satisfy c_{-j,-l} = conj(c_{jl})), so
-`evolve` computes loss_left only and conjugates it; the diagram evaluator
-keeps the independent sign path for `diagram_loss_right` and certification.
+and the coefficients of a real W0 satisfy c_{-j,-l} = conj(c_{jl})), so the
+diagram evaluator computes gain and loss_left only, and `_second_order`, the
+one place that assembles the three terms for `evolve` and certification,
+takes loss_right as conj(loss_left) with a copy of its report.
 
 Initial data are treated as zero outside their box (matching the transform
 module): evaluation points whose position argument would leave the box are
@@ -370,16 +371,11 @@ def modes_from_closed(spec, dp, x_reach=None):
     return ModeRep(u=u, s=s, coef=coef, x_box=x_box, q_box=q_box)
 
 
-def build_modes(w0, backend="auto", x_reach=None):
-    if backend == "closed" or (backend == "auto"
-                               and isinstance(w0.source, InitialStateSpec)):
-        if not isinstance(w0.source, InitialStateSpec):
-            raise ValueError("closed backend needs a WignerFunction built "
-                             "from a closed-form state")
+def build_modes(w0, x_reach=None):
+    """Closed modes for a closed-form state, grid modes for gridded input."""
+    if isinstance(w0.source, InitialStateSpec):
         return modes_from_closed(w0.source, w0.grid.dp, x_reach=x_reach)
-    if backend in ("auto", "grid"):
-        return modes_from_grid(w0)
-    raise ValueError(f"unknown backend {backend!r}")
+    return modes_from_grid(w0)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +451,7 @@ def _in_q_box(modes, q):
 def _q_lattice(modes, P, dp):
     """The lattice box (N_q, d) spanned by q+- = p +- u_j/2, any d, and the
     rows of q+ and of q- for each (j, p), (M, N_p) each: p is a multiple of
-    dp and u_j/2 of dp/R per axis (R = 1 on the grid backend)."""
+    dp and u_j/2 of dp/R per axis (R = 1 for grid modes)."""
     half = 0.5 * modes.u
     step = np.min(np.abs(half), axis=0, where=half != 0.0, initial=dp)
     ratio = np.maximum(1.0, np.rint(dp / step))              # R per axis
@@ -480,7 +476,7 @@ def _rank_factors(coef):
 
 
 def _diagram_core(term, modes, X, P, dp, params, t, quad, panel_factor=1.0):
-    """One second-order term at the points X (N_x, d) and P (N_p, d), P on
+    """gain or loss_left at the points X (N_x, d) and P (N_p, d), P on
     the lattice dp, coupling factored out; an (N_x, N_p) array.
 
     Every (p, k) column enters the (M, N_p) sum from the q-lattice tables
@@ -501,7 +497,6 @@ def _diagram_core(term, modes, X, P, dp, params, t, quad, panel_factor=1.0):
     omega = np.sqrt(np.sum(k**2, axis=-1) + params.m_e**2)
     branches = _thermal_branches(omega, params)
     qv, iqp, iqm = _q_lattice(modes, P, dp)
-    iq = iqm if term == "loss_right" else iqp
 
     xt = X[:, None, :] - P[None, :, :] * (t / m)             # (Nx, Np, d)
     ux_phase = np.exp(1j * (modes.u @ X.T))                  # (M, Nx)
@@ -509,7 +504,6 @@ def _diagram_core(term, modes, X, P, dp, params, t, quad, panel_factor=1.0):
     sp_phase = np.exp(1j * (modes.s @ P.T))                  # (L, Np)
     dom_hi = 2.0 * t if term == "gain" else t
     slope_sign = -1.0 if term == "gain" else +1.0
-    b_sign = -1.0 if term == "loss_right" else +1.0
 
     contrib = 0.0        # the clipped elements' (M, Nx Np) sum, once there are any
     if term == "gain":
@@ -559,9 +553,9 @@ def _diagram_core(term, modes, X, P, dp, params, t, quad, panel_factor=1.0):
                 i_full *= np.conj(e1)[iqm.T]
                 acc += i_full @ (g_tab * ww).transpose(1, 2, 0)
             else:
-                b = b_sign * (qk - kk2[None, :] - sgn * om[None, :])    # +-B(q)
+                b = qk - kk2[None, :] - sgn * om[None, :]     # B(q)
                 f_tab = _f(b, t)
-                acc += (f_tab @ ww)[iq]
+                acc += (f_tab @ ww)[iqp]
             # clipped elements, sorted by (x, p): windowed less tabulated
             for e0 in range(0, xp.size, per):
                 e = slice(e0, e0 + per)
@@ -572,8 +566,8 @@ def _diagram_core(term, modes, X, P, dp, params, t, quad, panel_factor=1.0):
                     val -= i_full[pe, :, ke].T
                     val *= a_fac @ g_tab[:, pe, ke]
                 else:
-                    val = window_loss_integral(b[iq[:, pe], ke], t, w_lo[e], w_hi[e])
-                    val -= f_tab[iq[:, pe], ke]
+                    val = window_loss_integral(b[iqp[:, pe], ke], t, w_lo[e], w_hi[e])
+                    val -= f_tab[iqp[:, pe], ke]
                 val *= ww[ke]
                 starts = np.flatnonzero(np.diff(xp[e], prepend=-1))
                 contrib[:, xp[e][starts]] += np.add.reduceat(val, starts, axis=1)
@@ -587,24 +581,26 @@ def _diagram_core(term, modes, X, P, dp, params, t, quad, panel_factor=1.0):
     return out, panels
 
 
-def _resolve_modes(w0, params, t, quad, backend):
-    """Build the mode rep, sizing the closed backend's period to the reach."""
+def _resolve_modes(w0, params, t, quad):
+    """Build the mode rep, sizing the closed modes' period to the reach."""
     grid = w0.grid
     x_span = float(np.max(np.abs(grid.x_nodes)))
     p_span = float(np.max(np.abs(grid.p_nodes)))
     x_reach = x_span + (p_span + quad.resolved_k_max(params)) * t / params.m_s
     if isinstance(w0.source, InitialStateSpec):
         x_reach += float(np.max(np.abs(np.array(w0.source.x0))))
-    return build_modes(w0, backend, x_reach=x_reach)
+    return build_modes(w0, x_reach=x_reach)
 
 
-def _diagram_with_report(term, w0, params, t, quad, backend="auto"):
-    """Complex-valued term plus its quadrature report.
+def _diagram_with_report(term, w0, params, t, quad):
+    """Complex-valued gain or loss_left plus its quadrature report.
 
     The report's "trace" is the real part of the term's integral over all of
     phase space (module docstring), from a `_diagram_core` call at full
     panels on the u = 0 row; the half-panel run computes none.
     """
+    if term not in ("gain", "loss_left"):
+        raise ValueError(f"unknown term {term!r} (loss_right: `_second_order`)")
     if t < 0.0:
         raise ValueError("t must be >= 0")
     grid = w0.grid
@@ -616,7 +612,7 @@ def _diagram_with_report(term, w0, params, t, quad, backend="auto"):
         return zero, {"term": term, "panels": 0, "err_est": 0.0,
                       "rel_err_est": 0.0, "converged": True, "max_imag": 0.0,
                       "trace": 0.0, "time_integration": "exact"}
-    modes = _resolve_modes(w0, params, t, quad, backend)
+    modes = _resolve_modes(w0, params, t, quad)
     X, P = (_tensor_points([v] * d) for v in (grid.x_nodes, grid.p_nodes))
     vals, panels = _diagram_core(term, modes, X, P, dp, params, t, quad)
     vals_h, _ = _diagram_core(term, modes, X, P, dp, params, t, quad,
@@ -651,21 +647,6 @@ def _diagram_with_report(term, w0, params, t, quad, backend="auto"):
         "time_integration": "exact",
     }
     return vals.reshape(grid.value_shape()), report
-
-
-def diagram_gain(w0, params, t, quad, backend="auto"):
-    """Cross-branch second-order term (coupling factored out)."""
-    return _diagram_with_report("gain", w0, params, t, quad, backend)[0].real
-
-
-def diagram_loss_left(w0, params, t, quad, backend="auto"):
-    """Same-branch time-ordered second-order term (coupling factored out)."""
-    return _diagram_with_report("loss_left", w0, params, t, quad, backend)[0].real
-
-
-def diagram_loss_right(w0, params, t, quad, backend="auto"):
-    """Same-branch anti-time-ordered second-order term (coupling factored out)."""
-    return _diagram_with_report("loss_right", w0, params, t, quad, backend)[0].real
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +722,7 @@ def zeroth_closed(w0, params, t):
     not sampled, instead of being rejected as in `evolve_zeroth`.
     """
     if not isinstance(w0.source, InitialStateSpec):
-        raise ValueError("closed backend needs a WignerFunction built "
+        raise ValueError("zeroth_closed needs a WignerFunction built "
                          "from a closed-form state")
     if w0.grid.d != params.d:
         raise ValueError("grid dimension does not match params.d")
@@ -750,6 +731,32 @@ def zeroth_closed(w0, params, t):
     vals = sample_closed(w0.source, w0.grid, shear=t / params.m_s)
     return WignerFunction(grid=w0.grid, t=w0.t + t, values=vals,
                           normalized=w0.normalized, source=None)
+
+
+def _fast_input(w0, backend):
+    """w0 as the fast path takes it: `backend = grid` drops its closed form,
+    so the gridded samples are evolved; `auto` keeps it."""
+    if backend not in ("auto", "grid"):
+        raise ValueError(f"backend {backend!r} is not auto | grid ('closed' is "
+                         "retired: auto takes the closed path for a closed-form state)")
+    return replace(w0, source=None) if backend == "grid" else w0
+
+
+def _second_order(w0, params, t, quad, workers=1):
+    """{term: (complex values, quadrature report)} of the three O(g^2)
+    terms: gain and loss_left from `_diagram_with_report`, in two threads
+    when workers > 1; loss_right as conj(loss_left) with a copy of its report."""
+    terms = ("gain", "loss_left")
+    if workers > 1 and t > 0.0:
+        with ThreadPoolExecutor(max_workers=min(workers, 2)) as ex:
+            futs = [ex.submit(_diagram_with_report, term, w0, params, t, quad)
+                    for term in terms]
+            out = dict(zip(terms, (f.result() for f in futs)))
+    else:
+        out = {term: _diagram_with_report(term, w0, params, t, quad) for term in terms}
+    loss_l, rep_ll = out["loss_left"]
+    out["loss_right"] = (np.conj(loss_l), dict(rep_ll, term="loss_right"))
+    return out
 
 
 @dataclass
@@ -775,38 +782,25 @@ def evolve(w0, params, t, quad=None, backend="auto", workers=1):
     in any d.  It does not check the clipped-window elements, which
     `trace_defect_window` (the correction's sum over the output grid) and
     the oracle cover, nor the imaginary (energy-shift) part of loss_left.
-    `workers` parallelizes the two diagram evaluations (gain and
-    loss_left); results are bitwise identical for any worker count.
 
-    loss_right is taken as conj(loss_left), its quadrature report copied
-    from loss_left's.  The imaginary part of gain - loss_left -
-    conj(loss_left) is the gain's, so `max_imag_residue` checks only the
-    gain's reality; the mirror identity itself is checked by
-    `diagram_loss_right` and certification, which evaluate loss_right
-    independently.
+    The terms come from `_second_order`: gain and loss_left, in two threads
+    when workers > 1 (bitwise the same), and loss_right = conj(loss_left)
+    with a copy of its report; so `max_imag_residue` checks only the gain.
 
-    The zeroth order is the spectral shear of the grid samples
-    (`evolve_zeroth`), except on the closed backend, which takes it from the
-    closed form (`zeroth_closed`) like its diagrams.
+    The input picks the path: a closed-form state (`w0.source` set) takes
+    closed modes and `zeroth_closed`, which samples tails that the shear
+    carries past the box from the closed form; gridded input, or any input
+    under backend = "grid", takes grid modes and `evolve_zeroth`, which
+    rejects such a shear.
     """
     if quad is None:
         quad = QuadratureSpec()
-    if backend == "closed":
-        w_zeroth = zeroth_closed(w0, params, t)
-    else:
-        w_zeroth = evolve_zeroth(w0, params, t)
-    terms = ("gain", "loss_left")
-    if workers > 1 and t > 0.0:
-        with ThreadPoolExecutor(max_workers=min(workers, 2)) as ex:
-            futs = [ex.submit(_diagram_with_report, term, w0, params, t,
-                              quad, backend) for term in terms]
-            results = [f.result() for f in futs]
-    else:
-        results = [_diagram_with_report(term, w0, params, t, quad, backend)
-                   for term in terms]
-    (gain_c, rep_g), (loss_l_c, rep_ll) = results
-    loss_r_c = np.conj(loss_l_c)
-    rep_lr = dict(rep_ll, term="loss_right")
+    w0 = _fast_input(w0, backend)
+    zeroth = zeroth_closed if isinstance(w0.source, InitialStateSpec) else evolve_zeroth
+    w_zeroth = zeroth(w0, params, t)
+    terms = _second_order(w0, params, t, quad, workers)
+    (gain_c, rep_g), (loss_l_c, rep_ll), (loss_r_c, _) = (
+        terms[term] for term in ("gain", "loss_left", "loss_right"))
     gain, loss_l, loss_r = gain_c.real, loss_l_c.real, loss_r_c.real
 
     g2 = params.g**2
@@ -829,12 +823,10 @@ def evolve(w0, params, t, quad=None, backend="auto", workers=1):
         "gain_l1": gain_l1,
         "max_imag_residue": float(np.max(np.abs(correction_c.imag))),
         "hermiticity_defect": rho_t.hermiticity_defect(),
-        "quadrature_report": {"gain": rep_g, "loss_left": rep_ll,
-                              "loss_right": rep_lr},
+        "quadrature_report": {term: rep for term, (_, rep) in terms.items()},
         "perturbativity_ratio": ratio,
         "non_perturbative": bool(ratio > 0.30),
-        "quadrature_failed": bool(not (rep_g["converged"] and rep_ll["converged"]
-                                       and rep_lr["converged"])),
+        "quadrature_failed": not all(rep["converged"] for _, rep in terms.values()),
     }
     return EvolutionResult(w_total=w_total, w_zeroth=w_zeroth, w_gain=gain,
                            w_loss_left=loss_l, w_loss_right=loss_r,

@@ -653,7 +653,11 @@ def oracle_diagram(term_id, w0, params, t, probes, n_lambda=28, n_inner=24,
 def certify_instance(w0, params, t, probes, quad, terms=("gain", "loss_left",
                                                          "loss_right"),
                      budget_s=600.0, backend="auto"):
-    """Compare the momentum-space fast path against the oracle at probes.
+    """Compare the momentum-space fast path against the oracle at probes, d = 1.
+
+    The fast values come from `evolution._second_order`, as in `evolve`, so
+    the oracle's own loss_right checks the mirror loss_right = conj(loss_left).
+    backend = "grid" drops the closed form for the fast path only.
 
     Emits a JSON-ready record with the instance description, both values,
     self-declared error estimates, and per-probe/per-term pass flags; each
@@ -665,8 +669,10 @@ def certify_instance(w0, params, t, probes, quad, terms=("gain", "loss_left",
     n_lambda = 20, n_inner = 18 (against the default 28 and 24); both runs
     batch their tau nodes as oracle_diagram describes.
     """
-    from .evolution import _diagram_with_report
+    from .evolution import _fast_input, _second_order
 
+    if params.d != 1:
+        raise ValueError("certification is restricted to d = 1, as the oracle is")
     grid = probes.grid
     ix = [int(round((x - grid.x_min) / grid.dx)) for x, _ in probes.points]
     ip = [int(round((p - grid.p_nodes[0]) / grid.dp)) for _, p in probes.points]
@@ -684,8 +690,9 @@ def certify_instance(w0, params, t, probes, quad, terms=("gain", "loss_left",
         "all_passed": True,
     }
     start = time.time()
+    second = _second_order(_fast_input(w0, backend), params, t, quad)
     for term in terms:
-        fast, rep = _diagram_with_report(term, w0, params, t, quad, backend)
+        fast, rep = second[term]
         fvals = np.array([fast[i, j] for i, j in zip(ix, ip)])
         remaining = max(10.0, budget_s - (time.time() - start))
         orc, st = oracle_diagram(term, w0, params, t, probes,

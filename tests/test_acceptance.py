@@ -16,7 +16,7 @@ from wignerbath.states import balanced_grid, density_closed, wigner_closed
 from wignerbath.wigner import observables
 from wignerbath.oracle import (default_probes, certify_instance,
                                epsilon_extrapolated_propagator)
-from wignerbath.evolution import _diagram_with_report
+from wignerbath.evolution import _fast_input, _second_order
 from wignerbath.config import parse_config
 from wignerbath.runio import run
 
@@ -31,8 +31,8 @@ def reference_run(tiny_instance):
     w0, params, t, quad, grid = (tiny_instance[k] for k in
                                  ("w0", "params", "t", "quad", "grid"))
     probes = default_probes(grid, params, t)
-    record = certify_instance(w0, params, t, probes, quad, backend="closed")
-    result = evolve(w0, params, t, quad, backend="closed")
+    record = certify_instance(w0, params, t, probes, quad)
+    result = evolve(w0, params, t, quad)
     return {"record": record, "result": result, **tiny_instance,
             "probes": probes}
 
@@ -172,8 +172,9 @@ def test_criterion_6_gridded_backend(reference_run):
     ix = [int(round((x - grid.x_min) / grid.dx)) for x, _ in probes.points]
     ip = [int(round((p - grid.p_nodes[0]) / grid.dp)) for _, p in probes.points]
     worst = 0.0
+    terms = _second_order(_fast_input(w0, "grid"), params, t, quad)
     for term, entry in reference_run["record"]["terms"].items():
-        fast, _ = _diagram_with_report(term, w0, params, t, quad, "grid")
+        fast, _ = terms[term]
         orc = np.array([e["oracle"][0] + 1j * e["oracle"][1]
                         for e in entry["probes"]])
         fv = np.array([fast[i, j] for i, j in zip(ix, ip)])
@@ -195,9 +196,9 @@ def test_criterion_7_trace_cancellation(reference_run):
     fine = QuadratureSpec(n_k=2 * quad.n_k, k_max=quad.k_max,
                           rel_tol=quad.rel_tol)
     cell = grid.cell_volume
+    terms_1, terms_2 = (_second_order(w0, params, t, q) for q in (quad, fine))
     for term in ("gain", "loss_left", "loss_right"):
-        v1, rep = _diagram_with_report(term, w0, params, t, quad, "closed")
-        v2, _ = _diagram_with_report(term, w0, params, t, fine, "closed")
+        (v1, rep), (v2, _) = terms_1[term], terms_2[term]
         change = float(np.sum(np.abs(v1 - v2)) * cell)
         assert change <= max(rep["err_est"], 1e-13), term
     _report(7, "second-order trace defect", abs(diag["trace_defect_g2"]),
@@ -243,7 +244,7 @@ def test_criterion_10_decoherence_smoke(cat_spec):
     nv0 = observables(w0).negativity_volume
     series = [nv0]
     for t in (0.25, 0.5, 0.75):
-        res = evolve(w0, params, t, quad, backend="closed")
+        res = evolve(w0, params, t, quad)
         series.append(observables(res.w_total).negativity_volume)
         # the grid sum of |W| is not invariant under the free shear, so the
         # bath is judged against the free evolution to the same time (in the

@@ -46,6 +46,20 @@ def test_config_error_aggregation():
     assert ">= 0" in msgs                                # times invariant
     assert "fly" in msgs
     assert len(exc.value.errors) >= 4
+    # a state of the wrong dimension is named by key, never sampled on a grid
+    # of its own dimension; certify runs in d = 1 only; 'closed' is retired
+    with pytest.raises(ConfigError) as exc:
+        parse_config("d = 1\nn_x = 8\nstate.x0 = 0, 0, 0\nstate.p0 = 0, 0, 0\n"
+                     "backend = closed\n")
+    assert sorted(exc.value.errors) == [
+        "backend: 'closed' is not auto/grid ('closed' is retired: auto takes the "
+        "closed path for a closed-form state)",
+        "state.p0: 3 components for d = 1", "state.x0: 3 components for d = 1"]
+    with pytest.raises(ConfigError) as exc:
+        parse_config("mode = certify\nd = 3\nn_x = 8\nstate.x0 = 0, 0\n")
+    assert sorted(exc.value.errors) == ["d: certify mode runs in d = 1 only, got d = 3",
+                                        "state.x0: 2 components for d = 3"]
+    assert parse_config("d = 3\nn_x = 8\nstate.x0 = 0, 0, 0\n").initial.d == 3
 
 
 def test_certify_takes_one_time():
@@ -187,6 +201,13 @@ def test_cli_exit_codes(tmp_path):
     # certify mode certifies exactly one output time
     cfg_path.write_text(MINIMAL.format(out=tmp_path / "out5") + "times = 0.3, 0.6\n")
     assert main(["certify", "--config", str(cfg_path)]) == 2
+    # a state whose dimension is not d, certify in d = 3, the retired backend
+    for mode, bad in (("evolve", "d = 1\nstate.x0 = 0, 0, 0\nstate.p0 = 0, 0, 0\n"),
+                      ("evolve", "d = 3\nstate.x0 = 0, 0\n"),
+                      ("certify", "d = 3\n"),
+                      ("evolve", "backend = closed\n")):
+        cfg_path.write_text(MINIMAL.format(out=tmp_path / "out6") + "n_x = 8\n" + bad)
+        assert main([mode, "--config", str(cfg_path)]) == 2, bad
     # override path
     cfg_path.write_text(MINIMAL.format(out=tmp_path / "out3"))
     assert main(["observables", "--config", str(cfg_path),

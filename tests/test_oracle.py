@@ -10,7 +10,8 @@ from wignerbath import oracle
 from wignerbath.oracle import (oracle_wigner_transform, oracle_diagram,
                                epsilon_extrapolated_propagator, ProbeSet,
                                default_probes, packet_coeffs, certify_instance)
-from wignerbath.evolution import _diagram_with_report
+from wignerbath import evolution
+from wignerbath.evolution import _fast_input, _second_order
 
 
 def test_probe_set_validation(gauss_spec, params_ref):
@@ -130,8 +131,9 @@ def test_gentle_instance_certification(gentle_instance):
     probes = default_probes(grid, params, t)
     ix = [int(round((x - grid.x_min) / grid.dx)) for x, _ in probes.points]
     ip = [int(round((p - grid.p_nodes[0]) / grid.dp)) for _, p in probes.points]
+    terms = _second_order(_fast_input(w0, "grid"), params, t, quad)
     for term in ("gain", "loss_left", "loss_right"):
-        fast, _ = _diagram_with_report(term, w0, params, t, quad, "grid")
+        fast, _ = terms[term]
         orc, _ = oracle_diagram(term, w0, params, t, probes)
         fv = np.array([fast[i, j] for i, j in zip(ix, ip)])
         rel = np.abs(fv - orc) / np.maximum(np.abs(fv), np.abs(orc))
@@ -150,6 +152,24 @@ def test_certify_record_structure(gentle_instance):
     assert record["terms"]["gain"]["passed"]
     entry = record["terms"]["gain"]["probes"][0]
     assert {"probe", "fast", "oracle", "rel_diff", "status"} <= set(entry)
+
+
+def test_certify_rejects_before_the_fast_path(gentle_instance, monkeypatch):
+    """d != 1 (the oracle's limit) and the retired backend = "closed" are
+    rejected before the fast path runs: a d = 3 fast path can allocate TiB."""
+    w0, params, t, quad, grid = (gentle_instance[k] for k in
+                                 ("w0", "params", "t", "quad", "grid"))
+    probes = default_probes(grid, params, t)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fast path ran")
+
+    monkeypatch.setattr(evolution, "_second_order", refuse)
+    d3 = ModelParams(d=3, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=6.0)
+    with pytest.raises(ValueError, match="d = 1"):
+        certify_instance(w0, d3, t, probes, quad)
+    with pytest.raises(ValueError, match="'closed' is retired"):
+        certify_instance(w0, params, t, probes, quad, backend="closed")
 
 
 @pytest.mark.parametrize("term", ("gain", "loss_left", "loss_right"))
