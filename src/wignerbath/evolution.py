@@ -83,7 +83,8 @@ less it.  The momentum argument p + k is masked to the box directly.
 Only the k integral is numerical: composite Gauss-Legendre panels whose
 count scales with the analytic phase range, so the oscillatory UV tail is
 always resolved; n_k sets the nodes per panel.  Each term's error estimate
-is its change under a rerun at half the panels (at least one fewer).
+is its change under a rerun at half the panels, rounded up to an even
+count below the full one (`_k_nodes`), so that k = 0 is a panel edge.
 
 Unitarity trace.  The direct expression is trace preserving, so the
 correction integrates to zero over phase space: gain = 2 Re(loss_left)
@@ -106,14 +107,13 @@ import numpy as np
 
 from .wigner import WignerFunction, mode_coefficients, density_from_wigner
 from .states import InitialStateSpec, sample_closed, wigner_atoms
-from .propagators import bose_occupation, gauss_panels
+from .propagators import bose_occupation, chunk_len, gauss_panels
 
 SUPPORT_TOL = 1e-9        # relative mass threshold for the shear support check
 CLOSED_DECAY = 8.9        # closed modes: Gaussian widths kept around each atom
 CLOSED_PAD = 3.0          # closed modes: extra widths of period beyond that
 COEF_TRUNC = 1e-19        # closed-form mode coefficient truncation
 PHASE_PER_PANEL = 24.0    # analytic phase (radians) covered by one k panel
-_CHUNK_BYTES = 1 << 24    # 16 MB cap for a k chunk's and a clipped slice's tensors
 
 
 # ---------------------------------------------------------------------------
@@ -382,19 +382,22 @@ def build_modes(w0, x_reach=None):
 # momentum-transfer quadrature
 # ---------------------------------------------------------------------------
 
-def _k_nodes(params, quad, t, u_max, p_scale, panel_factor=1.0):
+def _k_nodes(params, quad, t, u_max, p_scale, half=False):
     """Tensor nodes/weights on the d-cube with the |k| <= k_max ball mask.
 
-    The panel count and its floor both scale with panel_factor: the full run
-    takes at least 2 panels and the half-panel run at least 1, so the two
-    runs of the error estimate never share a panel count.
+    The full run takes at least 2 panels.  The half-panel run of the error
+    estimate takes half as many, rounded up to an even count that stays
+    below the full one, so that k = 0, next to the branch points of 1/w at
+    k = +-i m_e, is a panel edge and not a panel's centre; at the floor the
+    full run's 2 panels give 1.
     """
     k_max = quad.resolved_k_max(params)
     m = params.m_s
     phase = (2.0 * k_max * t * (p_scale + 0.5 * u_max) / m
              + k_max**2 * t / m + 2.0 * k_max * t + 2.0 * np.pi)
-    panels = int(max(np.ceil(2.0 * panel_factor),
-                     np.ceil(panel_factor * phase / PHASE_PER_PANEL)))
+    panels = int(max(2, np.ceil(phase / PHASE_PER_PANEL)))
+    if half:
+        panels = 2 * math.ceil(panels / 4) if panels > 2 else 1
     nodes1, w1 = gauss_panels(-k_max, k_max, quad.n_k, panels)
     k = _tensor_points([nodes1] * params.d)
     w = np.prod(_tensor_points([w1] * params.d), axis=-1)
@@ -475,7 +478,7 @@ def _rank_factors(coef):
     return a_fac[:, :rank] * sv[:rank], b_fac[:rank]
 
 
-def _diagram_core(term, modes, X, P, dp, params, t, quad, panel_factor=1.0):
+def _diagram_core(term, modes, X, P, dp, params, t, quad, half=False):
     """gain or loss_left at the points X (N_x, d) and P (N_p, d), P on
     the lattice dp, coupling factored out; an (N_x, N_p) array.
 
@@ -493,7 +496,7 @@ def _diagram_core(term, modes, X, P, dp, params, t, quad, panel_factor=1.0):
     M, L = modes.coef.shape
 
     p_scale = float(np.max(np.abs(P))) if P.size else 0.0
-    k, wk, panels = _k_nodes(params, quad, t, modes.u_max, p_scale, panel_factor)
+    k, wk, panels = _k_nodes(params, quad, t, modes.u_max, p_scale, half)
     omega = np.sqrt(np.sum(k**2, axis=-1) + params.m_e**2)
     branches = _thermal_branches(omega, params)
     qv, iqp, iqm = _q_lattice(modes, P, dp)
@@ -524,8 +527,8 @@ def _diagram_core(term, modes, X, P, dp, params, t, quad, panel_factor=1.0):
     # (Nx, Np) windows of `_clipped`, the (Nq,) tables; and slice the clipped
     # elements so their (M, E) temporaries do
     per_k = max(npts * (2 * M + 3 * rank), 3 * nx * npts, 6 * qv.shape[0])
-    chunk = max(1, _CHUNK_BYTES // (16 * per_k))
-    per = max(1, int(_CHUNK_BYTES // (16 * M * 24)))
+    chunk = chunk_len(16 * per_k)
+    per = chunk_len(16 * M * 24)
     for k0 in range(0, k.shape[0], chunk):
         sl = slice(k0, k0 + chunk)
         kc, wc, om = k[sl], wk[sl], omega[sl]
@@ -615,8 +618,7 @@ def _diagram_with_report(term, w0, params, t, quad):
     modes = _resolve_modes(w0, params, t, quad)
     X, P = (_tensor_points([v] * d) for v in (grid.x_nodes, grid.p_nodes))
     vals, panels = _diagram_core(term, modes, X, P, dp, params, t, quad)
-    vals_h, _ = _diagram_core(term, modes, X, P, dp, params, t, quad,
-                              panel_factor=0.5)
+    vals_h, _ = _diagram_core(term, modes, X, P, dp, params, t, quad, half=True)
 
     # the trace: the u = 0 row at one x node, unbounded in x, on the lattice dp
     # over the momentum box, widened by the k reach for the gain

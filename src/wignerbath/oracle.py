@@ -11,19 +11,20 @@ momentum-space reduction that powers the production path:
     over xi = (x' + y')/2 are complex-Gaussian integrals, done exactly with
     a small quadratic-form engine (the y integrand of the cross-branch term
     is a pure Fresnel phase, so it must never be attempted numerically);
-  * the remaining vertex variables are integrated numerically: the relative
-    coordinate eta = y' - x' on a graded mesh against a position-space table
-    of the bath propagator (cross-branch term), and the two times via the
+  * the rest is done in one way for all three terms (`_spectral_sum`): the
+    relative vertex coordinate eta = y' - x' in closed form against each
+    spectral component e^{ik eta} of the bath propagator, then the bath
+    momentum k by quadrature, and the two times by quadrature after the
     substitution tau = lambda^2 that removes the |t1 - t2|^{-1/2} Fresnel
     ridge of the integrand.
 
-For the same-branch (loss) terms the internal particle line contributes a
-nascent-delta Fresnel factor exp(+-i m eta^2 / 2 tau) whose oscillation no
-fixed eta mesh can track down to tau -> 0; for those two terms the eta
-integral is instead done in closed form against each spectral component of
-the bath propagator, and the single bath-momentum integral is numerical.
-The propagator chains, orderings and signs under test are identical either
-way.
+After the xi integral every integrand is a complex Gaussian in eta, so its
+eta integral is exact at each k.  The same-branch (loss) terms carry the
+internal particle line's nascent-delta Fresnel factor exp(+-i m eta^2 /
+2 tau), which no fixed eta mesh could track down to tau -> 0; in closed
+form it is one more term of the Gaussian.  The cross-branch (gain) term's
+Gaussian decays in k as well, so its k sum covers only its envelope
+(`_gain_k_window`); the loss terms take all of [-lambda, lambda].
 
 Certification instances are small by construction; a runtime budget returns
 partial results with per-probe status rather than running over.
@@ -35,16 +36,14 @@ import time
 import numpy as np
 
 from .grids import PhaseSpaceGrid
-from .propagators import (ModelParams, gauss_panels, legendre_rule, wightman_amp,
-                          bose_occupation)
+from .propagators import ModelParams, bose_occupation, chunk_len, gauss_panels
 from .states import InitialStateSpec
 from .wigner import signed_mode_numbers
 
 DEFAULT_EPS = (1e-2, 1e-3, 1e-4)   # contour regulators, relative to the scale
 _PROBE_SIDE = 3             # the default probes are a 3 x 3 sub-lattice
 _CERTIFY_REL_TOL = 1e-5     # probe agreement that passes whatever the estimates
-_P_CHUNK_PANELS = 1 << 14   # 32-node panels per chunk of the contour p sum
-_BATCH_BYTES = 1 << 23      # largest complex array of one chunk of tau nodes
+_ENVELOPE_NATS = 40.0       # the gain's k range: its envelope down by e^-40
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +265,9 @@ def _frequency_factors(dt, eps):
 def _contour_value(dt, dxv, params, eps):
     """Numerical (omega, k) evaluation with explicit i*eps regulators.
 
-    The p sum runs over _P_CHUNK_PANELS Gauss-Legendre panels at a time: its
-    range grows like eps^{-1/2}, and at small eps it needs tens of millions
-    of nodes.
+    The p sum runs over `chunk_len` 32-node Gauss-Legendre panels at a
+    time: its range grows like eps^{-1/2}, and at small eps it needs tens of
+    millions of nodes.
     """
     s_int, c_int = _frequency_factors(dt, eps)
     j_val = -2j * (s_int + eps * c_int)
@@ -278,8 +277,9 @@ def _contour_value(dt, dxv, params, eps):
     panels = max(8, int(np.ceil(2.0 * p_hi * rate / 64.0)))
     edges = np.linspace(-p_hi, p_hi, panels + 1)
     kval = 0.0 + 0.0j
-    for i0 in range(0, panels, _P_CHUNK_PANELS):
-        i1 = min(panels, i0 + _P_CHUNK_PANELS)
+    step = chunk_len(16 * 32)
+    for i0 in range(0, panels, step):
+        i1 = min(panels, i0 + step)
         pn, pw = gauss_panels(edges[i0], edges[i1], 32, i1 - i0)
         e_p = pn**2 / (2.0 * m)
         kval += np.sum(pw * np.exp(1j * pn * dxv - 1j * e_p * dt - eps * e_p))
@@ -325,30 +325,12 @@ def epsilon_extrapolated_propagator(a, b, params, anti=False):
 # diagram oracle
 # ---------------------------------------------------------------------------
 
-def _eta_mesh(eta_max, lam_uv):
-    """Graded symmetric eta mesh resolving the bath light-cone structure,
-    8 Gauss-Legendre nodes per panel."""
-    edges = [0.0, 0.5 / lam_uv, 2.0 / lam_uv, 8.0 / lam_uv]
-    step = 8.0 / lam_uv
-    while edges[-1] < eta_max:
-        step *= 1.5
-        edges.append(min(edges[-1] + step, eta_max))
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        panels = max(1, int(np.ceil((hi - lo) * lam_uv / 4.0)))
-        xn, wn = gauss_panels(lo, hi, 8, panels)
-        nodes.append(xn)
-        weights.append(wn)
-    nodes = np.concatenate(nodes)
-    weights = np.concatenate(weights)
-    return (np.concatenate([-nodes[::-1], nodes]),
-            np.concatenate([weights[::-1], weights]))
+def _gain_eta_coeffs(x, p, t, t1, t2, params, spec, ci, cj):
+    """Combined prefactor and eta-quadratic of the cross-branch integrand.
 
-
-def _gain_eta_integrand(x, p, t, t1, t2, params, spec, ci, cj, eta):
-    """xi-integrated cross-branch integrand on the (time, eta) lattice.
-
-    t1 and t2 carry any leading batch axes; eta is appended as the last axis.
+    t1 and t2 carry any leading batch axes (...).  Returns (pref, h2, h1,
+    h0), each of shape (..., 1), such that the xi-integrated integrand
+    before the bath propagator is pref * exp(h2 eta^2 + h1 eta + h0).
     """
     m = params.m_s
     sig = spec.sigma
@@ -379,7 +361,7 @@ def _gain_eta_integrand(x, p, t, t1, t2, params, spec, ci, cj, eta):
     q = q + Quad2(a_i, a_j, 0.0, b_i, b_j, c_i + c_j)
 
     pref_xi, h2, h1, h0 = q.integrate_xi()
-    return pref_y * pref_psi * pref_xi * np.exp(h2 * eta**2 + h1 * eta + h0)
+    return pref_y * pref_psi * pref_xi, h2, h1, h0
 
 
 def _loss_eta_coeffs(x, p, t, tau, tb, params, spec, ci, cj, left):
@@ -452,81 +434,68 @@ def _loss_eta_coeffs(x, p, t, tau, tb, params, spec, ci, cj, left):
     return pref_y * pref_psi * pref_xi * fres_pref, h2, h1, h0
 
 
-def _time_rows(lo, hi, n_inner):
-    """One inner time rule per tau on [lo, hi], built as gauss_panels(lo, hi,
-    n_inner, 1) builds it."""
-    base_x, base_w = legendre_rule(n_inner)
-    half = (0.5 * (hi - lo))[:, None]
-    mid = (0.5 * (hi + lo))[:, None]
-    return mid + half * base_x, half * base_w
+def _gain_k_window(h2, h1, lam_uv):
+    """Per tau, the k range of the gain's Gaussian envelope in k.
 
-
-def _chunks(indices, node_bytes):
-    """Split tau-node indices into chunks of at most _BATCH_BYTES // node_bytes
-    (at least one) nodes."""
-    step = max(1, _BATCH_BYTES // node_bytes)
-    return [indices[i:i + step] for i in range(0, len(indices), step)]
-
-
-def _gain_sum(x, p, t, tau, jac, rows, params, spec, ci, cj, eta, n_inner):
-    """Time and eta sums of one cross-branch component over all tau nodes.
-
-    Each tau keeps its own inner time rule on [|tau|/2, t - |tau|/2]; `rows`
-    holds the bath propagator times the eta weights, one row per tau.
+    |exp(-(h1 + ik)^2/(4 h2))| is a Gaussian in k, exp(Re(c) (k - k0)^2)
+    times its peak, with c = 1/(4 h2) and k0 = -Im(c h1)/Re(c).  The range
+    covers every time node's k0 +- sqrt(_ENVELOPE_NATS/(-Re c)), clipped to
+    [-lambda, lambda]; a tau with an envelope that does not decay
+    (Re c >= 0) or an empty range takes all of [-lambda, lambda].
     """
-    lo = np.abs(tau) / 2.0
-    hi = t - np.abs(tau) / 2.0
-    tb, tb_w = _time_rows(lo, hi, n_inner)
-    total = 0.0 + 0.0j
-    for b in _chunks(np.flatnonzero(hi > lo), 16 * n_inner * eta.size):
-        r = _gain_eta_integrand(x, p, t, tb[b] + tau[b, None] / 2.0,
-                                tb[b] - tau[b, None] / 2.0,
-                                params, spec, ci, cj, eta)
-        per_t = (r @ rows[b][..., None])[..., 0]
-        total += jac[b] @ np.sum(tb_w[b] * per_t, axis=1)
-    return total
+    c = 1.0 / (4.0 * h2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k0 = -(c * h1).imag / c.real
+        half = np.sqrt(-_ENVELOPE_NATS / c.real)
+    lo = np.maximum(np.min(k0 - half, axis=(1, 2)), -lam_uv)
+    hi = np.minimum(np.max(k0 + half, axis=(1, 2)), lam_uv)
+    full = np.any(c.real >= 0.0, axis=(1, 2)) | ~(lo < hi)
+    return np.where(full, -lam_uv, lo), np.where(full, lam_uv, hi)
 
 
-def _loss_sum(x, p, t, tau, jac, params, spec, ci, cj, left, n_inner, n_per):
-    """Time and spectral sums of one same-branch component over all tau nodes.
+def _spectral_sum(tau, jac, wt, h2, h1, h0, k_lo, k_hi, params, n_per):
+    """Time and spectral sums of one component over all tau nodes.
 
-    Each tau keeps its own inner time rule on [0, t - tau].  The eta integral
-    is closed per spectral node; each tau's node count follows the actual
-    phase rates of the closed form, which steepen near the time-node corner
-    t2 -> t - tau.  Taus that share a panel count are evaluated together.
+    wt (taus, time nodes) holds each tau's time weights times the
+    integrand's prefactor, and h2, h1, h0 (taus, time nodes, 1) its
+    eta-quadratic.  The eta integral is closed per spectral node k,
+
+        Int deta exp(h2 eta^2 + (h1 + ik) eta + h0)
+            = sqrt(-pi/h2) exp(h0 - (h1 + ik)^2/(4 h2)),
+
+    against the bath weight [(1 + n) e^{i w tau} + n e^{-i w tau}]/(2 pi 2 w)
+    at the signed tau, over [k_lo, k_hi] per tau.  Each tau's panel count
+    follows the phase rates of the closed form over its k range (a quadratic
+    chirp), which steepen near the time-node corners.  Taus that share a
+    panel count are evaluated together, in chunks, each built in place in
+    one buffer for all chunks, so the heap is not refaulted.
     """
-    tb, tb_w = _time_rows(0.0, t - tau, n_inner)
-    pref, h2, h1, h0 = _loss_eta_coeffs(x, p, t, tau[:, None], tb, params,
-                                        spec, ci, cj, left)
-    lam_uv = params.lambda_uv
+    n_inner = wt.shape[1]
     rate_lin = np.max(np.abs(h1 / (2.0 * h2)), axis=(1, 2))
     rate_quad = np.max(np.abs(1.0 / (4.0 * h2)), axis=(1, 2))
     # quadratic chirp: budget panels for the edge-local frequency
-    local_rate = 2.0 * lam_uv * rate_quad + rate_lin
-    phase = 2.0 * lam_uv * local_rate + 2.0 * np.pi
+    local_rate = 2.0 * np.maximum(np.abs(k_lo), np.abs(k_hi)) * rate_quad + rate_lin
+    phase = (k_hi - k_lo) * local_rate + 2.0 * np.pi
     panels = np.maximum(4, np.ceil(phase / (1.1 * n_per)).astype(int))
-    wt = tb_w * pref[..., 0]
 
     total = 0.0 + 0.0j
     buf = np.empty(0, dtype=complex)
     for count in np.unique(panels):
-        kq, kw = gauss_panels(-lam_uv, lam_uv, n_per, int(count))
-        omega = np.sqrt(kq**2 + params.m_e**2)
-        occ = bose_occupation(omega, params.t_env)
+        n_k = n_per * int(count)
         group = np.flatnonzero(panels == count)
-        for b in _chunks(group, 16 * n_inner * kq.size):
+        step = chunk_len(16 * n_inner * n_k)
+        for i in range(0, group.size, step):
+            b = group[i:i + step]
+            kq, kw = gauss_panels(k_lo[b], k_hi[b], n_per, int(count))
+            omega = np.sqrt(kq**2 + params.m_e**2)
+            occ = bose_occupation(omega, params.t_env)
             fwd = np.exp(1j * omega * tau[b, None])
-            if left:
-                env_t = (1.0 + occ) * np.conj(fwd) + occ * fwd
-            else:
-                env_t = (1.0 + occ) * fwd + occ * np.conj(fwd)
-            meas = env_t / (2.0 * np.pi * 2.0 * omega) * kw
-            # val_eta = sqrt(-pi/h2) exp(h0 - c1e^2/(4 h2)), c1e = h1 + i k, built
-            # in place in one buffer for all chunks, so the heap is not refaulted
-            size = len(b) * n_inner * kq.size
+            meas = (((1.0 + occ) * fwd + occ * np.conj(fwd))
+                    / (2.0 * np.pi * 2.0 * omega) * kw)
+            size = len(b) * n_inner * n_k
             buf = buf if buf.size >= size else np.empty(size, dtype=complex)
-            val = buf[:size].reshape(len(b), n_inner, kq.size)
-            np.add(h1[b], 1j * kq, out=val)
+            val = buf[:size].reshape(len(b), n_inner, n_k)
+            np.add(h1[b], 1j * kq[:, None, :], out=val)
             val *= val
             val /= 4.0 * h2[b]
             np.subtract(h0[b], val, out=val)
@@ -548,14 +517,14 @@ def oracle_diagram(term_id, w0, params, t, probes, n_lambda=28, n_inner=24,
 
     The tau = +-lambda^2 nodes (n_lambda of them per sign for the gain term,
     12 per panel on max(12, n_lambda) panels for the loss terms) are
-    evaluated as arrays, not one by one: each keeps its own n_inner-node
-    time rule and, for the loss terms, its own spectral panel count (nodes
-    are grouped by count, never padded).  Each group runs in chunks whose
-    largest complex array, (taus, time nodes, eta or k nodes), stays within
-    _BATCH_BYTES (8 MiB) unless one node alone exceeds it; the batching
-    changes only the summation order.  The gain term's bath-propagator table
-    (tau nodes x eta nodes) is built at the first probe inside `budget_s`,
-    so a spent budget skips it.
+    evaluated as arrays, not one by one, through `_spectral_sum`: each
+    keeps its own n_inner-node time rule (on [|tau|/2, t - |tau|/2] for the
+    gain's mean time, on [0, t - tau] for the losses' earlier vertex) and
+    its own k range and spectral panel count (nodes are grouped by count,
+    never padded).  Each group runs in chunks whose largest complex array,
+    (taus, time nodes, k nodes), stays within the chunk budget
+    (`propagators.chunk_len`) unless one node alone exceeds it; the
+    batching changes only the summation order.
     """
     if term_id not in ("zeroth", "gain", "loss_left", "loss_right"):
         raise ValueError(f"unknown term {term_id!r}")
@@ -604,24 +573,27 @@ def oracle_diagram(term_id, w0, params, t, probes, n_lambda=28, n_inner=24,
         return vals, [{"converged": True, "err_est": 0.0, "status": "ok"}
                       for _ in probes.points]
 
+    lam_uv = params.lambda_uv
     if term_id == "gain":
+        # tau = t1 - t2 = +-lambda^2, t1,2 = tb +- tau/2
         lam_nodes, lam_w = gauss_panels(0.0, np.sqrt(t), n_lambda, 1)
-        jac = 2.0 * lam_nodes * lam_w
-        eta_max = (t + 8.0 / params.m_e + 10.0 * _sigma_t(sig, m, t)
-                   + spec.separation
-                   + 2.0 * max(abs(p) for _, p in probes.points) * t / m
-                   + 2.0 * abs(spec.p0[0]) * t / m)
-        eta_n, eta_w = _eta_mesh(eta_max, params.lambda_uv)
-        branches = None   # bath table, built at the first probe within budget
+        tau = np.concatenate([lam_nodes**2, -lam_nodes**2])
+        jac = np.tile(2.0 * lam_nodes * lam_w, 2)
+        tb, tb_w = gauss_panels(np.abs(tau) / 2.0, t - np.abs(tau) / 2.0, n_inner, 1)
+        bath_tau = tau
     else:
         # the bath correlation's log(tau) layer between 1/lambda_uv and
-        # 1/m_e needs composite lambda panels; the spectral integral
-        # needs high per-panel order for its quadratic chirp
+        # 1/m_e needs composite lambda panels; tau = |t1 - t2| > 0, the
+        # earlier vertex on the time node tb
         left = term_id == "loss_left"
         lam_g, lam_gw = gauss_panels(0.0, np.sqrt(t), 12, max(12, n_lambda))
         keep = t - lam_g**2 > 0.0
         tau, jac = lam_g[keep]**2, 2.0 * lam_g[keep] * lam_gw[keep]
-        n_per = max(40, 2 * n_inner)
+        tb, tb_w = gauss_panels(0.0, t - tau, n_inner, 1)
+        k_lo, k_hi = np.full(tau.shape, -lam_uv), np.full(tau.shape, lam_uv)
+        bath_tau = -tau if left else tau
+    # the spectral integral needs high per-panel order for its quadratic chirp
+    n_per = max(40, 2 * n_inner)
 
     for x, p in probes.points:
         if time.time() - start > budget_s:
@@ -629,20 +601,19 @@ def oracle_diagram(term_id, w0, params, t, probes, n_lambda=28, n_inner=24,
             status.append({"converged": False, "err_est": float("nan"),
                            "status": "budget_exceeded"})
             continue
-        if term_id == "gain" and branches is None:
-            branches = [(tau_s, wightman_amp(-tau_s[:, None], eta_n[None, :],
-                                             params) * eta_w)
-                        for tau_s in (lam_nodes**2, -lam_nodes**2)]
         total = 0.0 + 0.0j
         for amp_i, ci in comps:
             for amp_j, cj in comps:
                 if term_id == "gain":
-                    part = sum(_gain_sum(x, p, t, tau_s, jac, rows, params,
-                                         spec, ci, cj, eta_n, n_inner)
-                               for tau_s, rows in branches)
+                    pref, h2, h1, h0 = _gain_eta_coeffs(
+                        x, p, t, tb + tau[:, None] / 2.0, tb - tau[:, None] / 2.0,
+                        params, spec, ci, cj)
+                    k_lo, k_hi = _gain_k_window(h2, h1, lam_uv)
                 else:
-                    part = _loss_sum(x, p, t, tau, jac, params, spec, ci, cj,
-                                     left, n_inner, n_per)
+                    pref, h2, h1, h0 = _loss_eta_coeffs(x, p, t, tau[:, None], tb,
+                                                        params, spec, ci, cj, left)
+                part = _spectral_sum(bath_tau, jac, tb_w * pref[..., 0], h2, h1, h0,
+                                     k_lo, k_hi, params, n_per)
                 total += amp_i * np.conj(amp_j) * part
         values.append(total)
         status.append({"converged": True, "err_est": 0.0, "status": "ok"})

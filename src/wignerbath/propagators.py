@@ -23,8 +23,15 @@ from functools import lru_cache
 import numpy as np
 
 _EXP_CUT = 700.0  # exp underflow guard for Bose factors
-_AMP_BYTES = 1 << 23  # largest complex (batch, k chunk) array in wightman_amp
+_CHUNK_BYTES = 1 << 23  # 8 MiB: the largest array of one chunk, in every chunked loop
 _AMP_NODES = 24       # Gauss-Legendre nodes per k panel in wightman_amp
+
+
+def chunk_len(item_bytes):
+    """Items per chunk when each item adds item_bytes to a chunk's largest
+    array: _CHUNK_BYTES // item_bytes, at least 1.  The budget is read at
+    call time, so patching it resizes every chunked loop of the package."""
+    return max(1, _CHUNK_BYTES // item_bytes)
 
 
 @dataclass(frozen=True)
@@ -152,8 +159,8 @@ def wightman_amp(dt, dx, params):
     where [phases] = (1+n) e^{-i omega dt} + n e^{+i omega dt}.
 
     The k nodes are summed in chunks whose (batch, k chunk) complex arrays
-    stay within _AMP_BYTES; the nodes are those of one composite rule, so
-    the chunking changes only the summation order.
+    stay within the chunk budget (`chunk_len`); the nodes are those of one
+    composite rule, so the chunking changes only the summation order.
     """
     dt = np.asarray(dt, dtype=float)
     lam = params.lambda_uv
@@ -174,7 +181,7 @@ def wightman_amp(dt, dx, params):
     dt_b = dt[..., None]
     r_b = r[..., None]
     shape = np.broadcast_shapes(dt.shape, r.shape)
-    step = max(1, _AMP_BYTES // (16 * max(1, int(np.prod(shape)))))
+    step = chunk_len(16 * max(1, int(np.prod(shape))))
     total = np.zeros(shape, dtype=complex)
     for k0 in range(0, k.size, step):
         kc, wc, om, oc = (a[k0:k0 + step] for a in (k, w, omega, occ))

@@ -10,7 +10,7 @@ from wignerbath import (InitialStateSpec, ModelParams, QuadratureSpec,
 from wignerbath.states import balanced_grid, density_closed, wigner_closed
 from wignerbath.propagators import bose_occupation, gauss_panels
 from wignerbath.wigner import WignerFunction, observables
-from wignerbath import evolution
+from wignerbath import evolution, propagators
 from wignerbath.evolution import (_diagram_with_report, seg_e0, seg_e1,
                                   strip_gain_integral, window_loss_integral,
                                   modes_from_grid, modes_from_closed, zeroth_closed,
@@ -596,6 +596,29 @@ def test_error_estimate_below_the_panel_floor(tiny_instance):
         assert change <= rep["err_est"]
 
 
+def test_error_estimate_tracks_the_error_on_an_even_half_run(gauss_spec, monkeypatch):
+    """n_x = 64, lambda = 20, t = 0.25: the full run takes 9 panels and the
+    half run 6 (5 before rounding to even, which put k = 0, next to the
+    branch points of 1/w at +-i m_e, at a panel's centre and made the
+    estimate 1.5e4 times the error).  Both terms converge, and each err_est
+    is within 0.5-10 times the term's change against 8 times the panels."""
+    grid = balanced_grid(gauss_spec, 64)
+    w0 = make_initial_wigner(gauss_spec, grid, boundary_tol=1e-7)
+    params = ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=20.0)
+    quad = QuadratureSpec()
+    t = 0.25
+    modes = _resolve_modes(w0, params, t, quad)
+    for term in ("gain", "loss_left"):
+        vals, rep = _diagram_with_report(term, w0, params, t, quad)
+        assert rep["panels"] == 9
+        assert rep["converged"]
+        with monkeypatch.context() as patch:
+            patch.setattr(evolution, "PHASE_PER_PANEL", evolution.PHASE_PER_PANEL / 8.0)
+            fine = _core_on_grid(term, modes, grid, params, t, quad)
+        change = float(np.sum(np.abs(vals - fine)) * grid.cell_volume)
+        assert 0.5 * change <= rep["err_est"] <= 10.0 * change, term
+
+
 @pytest.mark.parametrize("d", (1, 2, 3))
 def test_full_columns_from_the_extreme_x_nodes(d):
     """A (p, k) column is full (every x stays in the box for the whole
@@ -688,7 +711,7 @@ def test_chunk_budget_does_not_change_the_terms(gauss_spec, monkeypatch, term):
         return out
 
     monkeypatch.setattr(evolution, name, counted)
-    monkeypatch.setattr(evolution, "_CHUNK_BYTES", budget)
+    monkeypatch.setattr(propagators, "_CHUNK_BYTES", budget)
     got = _core_on_grid(term, modes, grid, params, t, quad)
     k_nodes = evolution._k_nodes(params, quad, t, modes.u_max,
                                  float(np.max(np.abs(grid.p_nodes))))[0].shape[0]

@@ -6,7 +6,7 @@ from wignerbath import (InitialStateSpec, ModelParams, SpacetimePoint,
                         QuadratureSpec, make_initial_wigner, sys_feynman,
                         sys_dyson, DensityMatrix, wigner_from_density)
 from wignerbath.states import balanced_grid, density_closed, wigner_closed, psi_closed
-from wignerbath import oracle
+from wignerbath import propagators
 from wignerbath.oracle import (oracle_wigner_transform, oracle_diagram,
                                epsilon_extrapolated_propagator, ProbeSet,
                                default_probes, packet_coeffs, certify_instance)
@@ -172,12 +172,9 @@ def test_certify_rejects_before_the_fast_path(gentle_instance, monkeypatch):
         certify_instance(w0, params, t, probes, quad, backend="closed")
 
 
-@pytest.mark.parametrize("term", ("gain", "loss_left", "loss_right"))
-def test_oracle_batching_does_not_change_values(term, monkeypatch):
-    """One tau node per chunk and all nodes in one chunk agree to rounding.
-
-    A cat (cross-component sums) in a thermal bath (both Bose branches).
-    """
+def _warm_cat():
+    """A cat (cross-component sums) in a thermal bath (both Bose branches),
+    with 3 of its default probes."""
     spec = InitialStateSpec(kind="cat", x0=(0.0,), p0=(0.3,), sigma=1.0,
                             separation=3.0, phase=0.7)
     params = ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=6.0,
@@ -187,10 +184,35 @@ def test_oracle_batching_does_not_change_values(term, monkeypatch):
     t = 0.4
     probes = ProbeSet(points=default_probes(grid, params, t).points[:3],
                       grid=grid, params=params, t=t)
+    return w0, params, t, probes
+
+
+@pytest.mark.parametrize("term", ("gain", "loss_left", "loss_right"))
+def test_oracle_batching_does_not_change_values(term, monkeypatch):
+    """One tau node per chunk and all nodes in one chunk agree to rounding,
+    on the warm cat."""
+    w0, params, t, probes = _warm_cat()
     vals = []
     for budget in (1, 1 << 62):
-        monkeypatch.setattr(oracle, "_BATCH_BYTES", budget)
+        monkeypatch.setattr(propagators, "_CHUNK_BYTES", budget)
         v, _ = oracle_diagram(term, w0, params, t, probes, n_lambda=12,
                               n_inner=12)
         vals.append(v)
     assert np.max(np.abs(vals[0] - vals[1])) <= 1e-14 * np.max(np.abs(vals[1]))
+
+
+def test_warm_cat_certification():
+    """Closed-path fast terms vs the oracle on the warm cat, all three terms
+    within 1e-6 relative: the check on the oracle's Bose weights of both
+    signs of tau (the gain's) and of the cross-component sums."""
+    w0, params, t, probes = _warm_cat()
+    grid = probes.grid
+    ix = [int(round((x - grid.x_min) / grid.dx)) for x, _ in probes.points]
+    ip = [int(round((p - grid.p_nodes[0]) / grid.dp)) for _, p in probes.points]
+    terms = _second_order(w0, params, t, QuadratureSpec())
+    for term in ("gain", "loss_left", "loss_right"):
+        fast, _ = terms[term]
+        orc, _ = oracle_diagram(term, w0, params, t, probes)
+        fv = np.array([fast[i, j] for i, j in zip(ix, ip)])
+        rel = np.abs(fv - orc) / np.maximum(np.abs(fv), np.abs(orc))
+        assert rel.max() < 1e-6, term

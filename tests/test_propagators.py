@@ -242,7 +242,7 @@ def test_wightman_k_chunks_do_not_change_values(d, t_env, monkeypatch):
     dx = rng.uniform(-2.0, 2.0, size=(1, 9) if d == 1 else (1, 9, 3))
     vals = []
     for budget in (1, 1 << 62):
-        monkeypatch.setattr(propagators, "_AMP_BYTES", budget)
+        monkeypatch.setattr(propagators, "_CHUNK_BYTES", budget)
         vals.append(wightman_amp(dt, dx, params))
     assert vals[0].shape == (7, 9)
     assert np.max(np.abs(vals[0] - vals[1])) <= 1e-14 * np.max(np.abs(vals[1]))
