@@ -27,7 +27,7 @@ reported together, not one at a time.
     quad.rel_tol tolerance on each term's error estimate
     out.dir      output directory
     out.plot_data  true | false  (gnuplot triplet files)
-    workers      worker threads for the diagram evaluations
+    workers      worker threads for the six passes of each time step
     backend      auto | grid
     boundary_tol relative tail tolerance at the box boundary
 """
@@ -128,10 +128,14 @@ def parse_config(text, overrides=None):
 
     def grab(key, conv, desc):
         try:
-            return conv(raw[key])
+            value = conv(raw[key])
         except Exception:
             errors.append(f"{key}: cannot parse {raw.get(key)!r} as {desc}")
             return None
+        if not np.all(np.isfinite(value)):
+            errors.append(f"{key}: {raw[key]!r} is not finite")
+            return None
+        return value
 
     mode = raw["mode"]
     if mode not in MODES:
@@ -165,6 +169,9 @@ def parse_config(text, overrides=None):
     if mode == "certify" and d not in (None, 1):
         errors.append(f"d: certify mode runs in d = 1 only, got d = {d}")
 
+    if n_x is not None and (n_x % 2 or n_x < 8):
+        errors.append(f"n_x: must be even and >= 8, got {n_x}")
+        n_x = None
     model = initial = grid = quad = None
     if d == 3:
         x0, p0 = (v * 3 if v is not None and len(v) == 1 else v for v in (x0, p0))
@@ -198,8 +205,10 @@ def parse_config(text, overrides=None):
                 dxv = (grab("dx", float, "number") if "dx" in raw
                        else balanced_grid(initial, n_x).dx)
                 x_minv = (grab("x_min", float, "number") if "x_min" in raw
+                          else None if dxv is None
                           else float(np.mean(x0)) - (n_x / 2.0 - 0.5) * dxv)
-                grid = PhaseSpaceGrid(d=d, n_x=n_x, dx=dxv, x_min=x_minv)
+                if None not in (dxv, x_minv):
+                    grid = PhaseSpaceGrid(d=d, n_x=n_x, dx=dxv, x_min=x_minv)
             else:
                 grid = balanced_grid(initial, n_x)
         except (TypeError, ValueError) as exc:

@@ -84,19 +84,22 @@ Only the k integral is numerical: composite Gauss-Legendre panels whose
 count scales with the analytic phase range, so the oscillatory UV tail is
 always resolved; n_k sets the nodes per panel.  Each term's error estimate
 is its change under a rerun at half the panels, rounded up to an even
-count below the full one (`_k_nodes`), so that k = 0 is a panel edge.
+count below the full one (`_k_nodes`), so that k = 0 is a panel edge.  The
+k rules are chosen once per time step, from the output grid, by
+`_second_order`: the full rule and the half rule, shared by both terms.
 
 Unitarity trace.  The direct expression is trace preserving, so the
 correction integrates to zero over phase space: gain = 2 Re(loss_left)
-there.  Each term's integral (its report's "trace") comes from one more
-`_diagram_core` call: over one x period only the u = 0 row j0 survives, so
-that row is evaluated at one x node, unbounded in x, on the p lattice dp
-covering the momentum box (widened by the k reach for the gain).  It runs
-through the same q-lattice tables and gathers, rank factors, p and p + k
-masks, chunking and thermal branches as the terms on the output grid, in
-any d.  It does not reach the clipped-window elements (`trace_defect_window`
-and the oracle cover those), and it takes Re(loss_left) only, so it does not
-check loss_left's imaginary (energy-shift) part.
+there.  Each term's integral (its report's "trace") is one more
+`_diagram_core` pass: over one x period only the u = 0 row survives, so it
+is evaluated at one x node, unbounded in x, on the p lattice dp over the
+momentum box (widened by the k reach for the gain), through the same
+tables, gathers, rank factors, masks, chunks and thermal branches as the
+output grid, in any d.  Both traces take the output grid's full k rule, so
+the defect checks only the code and the p-lattice sum: `trace` is not a
+separately converged integral.  It misses the clipped-window elements
+(`trace_defect_window` and the oracle cover those) and loss_left's
+imaginary (energy-shift) part.
 """
 
 import math
@@ -105,7 +108,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .wigner import WignerFunction, mode_coefficients, density_from_wigner
+from .wigner import (WignerFunction, mode_coefficients, density_from_wigner,
+                     half_shift)
 from .states import InitialStateSpec, sample_closed, wigner_atoms
 from .propagators import bose_occupation, chunk_len, gauss_panels
 
@@ -252,10 +256,10 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.n_k < 16:
             raise ValueError("n_k must be >= 16")
-        if self.k_max < 0.0:
-            raise ValueError("k_max must be >= 0 (0 selects the UV cutoff)")
-        if self.rel_tol <= 0.0:
-            raise ValueError("rel_tol must be positive")
+        if not (math.isfinite(self.k_max) and self.k_max >= 0.0):
+            raise ValueError("k_max must be finite and >= 0 (0 selects the UV cutoff)")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
+            raise ValueError("rel_tol must be finite and positive")
 
     def resolved_k_max(self, params):
         k = self.k_max if self.k_max > 0.0 else params.lambda_uv
@@ -383,7 +387,9 @@ def build_modes(w0, x_reach=None):
 # ---------------------------------------------------------------------------
 
 def _k_nodes(params, quad, t, u_max, p_scale, half=False):
-    """Tensor nodes/weights on the d-cube with the |k| <= k_max ball mask.
+    """Tensor nodes/weights on the d-cube with the |k| <= k_max ball mask,
+    and the panels per axis, sized from the phase range at u_max and p_scale
+    (`_second_order` takes both rules of a time step from the output grid).
 
     The full run takes at least 2 panels.  The half-panel run of the error
     estimate takes half as many, rounded up to an even count that stays
@@ -478,9 +484,10 @@ def _rank_factors(coef):
     return a_fac[:, :rank] * sv[:rank], b_fac[:rank]
 
 
-def _diagram_core(term, modes, X, P, dp, params, t, quad, half=False):
+def _diagram_core(term, modes, X, P, dp, params, t, k, wk):
     """gain or loss_left at the points X (N_x, d) and P (N_p, d), P on
-    the lattice dp, coupling factored out; an (N_x, N_p) array.
+    the lattice dp, by the k rule (k, wk) of `_k_nodes`, coupling factored
+    out; an (N_x, N_p) array.
 
     Every (p, k) column enters the (M, N_p) sum from the q-lattice tables
     (module docstring), the gain's through the rank-R factors of the
@@ -495,8 +502,6 @@ def _diagram_core(term, modes, X, P, dp, params, t, quad, half=False):
     nx, npts = X.shape[0], P.shape[0]
     M, L = modes.coef.shape
 
-    p_scale = float(np.max(np.abs(P))) if P.size else 0.0
-    k, wk, panels = _k_nodes(params, quad, t, modes.u_max, p_scale, half)
     omega = np.sqrt(np.sum(k**2, axis=-1) + params.m_e**2)
     branches = _thermal_branches(omega, params)
     qv, iqp, iqm = _q_lattice(modes, P, dp)
@@ -581,7 +586,7 @@ def _diagram_core(term, modes, X, P, dp, params, t, quad, half=False):
     if np.ndim(contrib):
         out += np.einsum("jx,jp,jxp->xp", ux_phase, weight,
                          contrib.reshape(M, nx, npts))
-    return out, panels
+    return out
 
 
 def _resolve_modes(w0, params, t, quad):
@@ -595,60 +600,71 @@ def _resolve_modes(w0, params, t, quad):
     return build_modes(w0, x_reach=x_reach)
 
 
-def _diagram_with_report(term, w0, params, t, quad):
-    """Complex-valued gain or loss_left plus its quadrature report.
-
-    The report's "trace" is the real part of the term's integral over all of
-    phase space (module docstring), from a `_diagram_core` call at full
-    panels on the u = 0 row; the half-panel run computes none.
+def _second_order(w0, params, t, quad, workers=1):
+    """{term: (complex values, quadrature report)} of the three O(g^2) terms,
+    from one plan per time step: one mode rep, two k rules from the output
+    grid (full, and half for the error estimate), and per term three
+    independent `_diagram_core` passes: the output grid at either rule and
+    the trace row at the full rule.  `workers` threads run the six passes in
+    pass order, bitwise the same at any count.  loss_right is conj(loss_left)
+    with a copy of its report.
     """
-    if term not in ("gain", "loss_left"):
-        raise ValueError(f"unknown term {term!r} (loss_right: `_second_order`)")
     if t < 0.0:
         raise ValueError("t must be >= 0")
     grid = w0.grid
     d, dp = grid.d, grid.dp
     if d != params.d:
         raise ValueError("grid dimension does not match params.d")
+    terms = ("gain", "loss_left")
     if t == 0.0:
-        zero = np.zeros(grid.value_shape(), dtype=complex)
-        return zero, {"term": term, "panels": 0, "err_est": 0.0,
-                      "rel_err_est": 0.0, "converged": True, "max_imag": 0.0,
-                      "trace": 0.0, "time_integration": "exact"}
-    modes = _resolve_modes(w0, params, t, quad)
-    X, P = (_tensor_points([v] * d) for v in (grid.x_nodes, grid.p_nodes))
-    vals, panels = _diagram_core(term, modes, X, P, dp, params, t, quad)
-    vals_h, _ = _diagram_core(term, modes, X, P, dp, params, t, quad, half=True)
+        zero = np.zeros((grid.n_x**d, grid.n_x**d), dtype=complex)
+        results, panels, x_period = [zero] * 6, 0, 0.0
+    else:
+        modes = _resolve_modes(w0, params, t, quad)
+        X, P = (_tensor_points([v] * d) for v in (grid.x_nodes, grid.p_nodes))
+        p_scale = float(np.max(np.abs(grid.p_nodes)))
+        full, half = (_k_nodes(params, quad, t, modes.u_max, p_scale, h)
+                      for h in (False, True))
+        # the trace: the u = 0 row at one x node, unbounded in x, on the lattice
+        # dp over the momentum box, widened by the k reach for the gain
+        j0 = int(np.argmin(np.sum(np.abs(modes.u), axis=-1)))
+        if np.any(modes.u[j0] != 0.0):
+            raise RuntimeError("mode set lacks the zero position frequency")
+        row = replace(modes, u=modes.u[j0:j0 + 1], coef=modes.coef[j0:j0 + 1],
+                      x_box=np.array([[-np.inf, np.inf]] * d))
+        passes = []
+        for term in terms:
+            reach = quad.resolved_k_max(params) if term == "gain" else 0.0
+            p_row = _tensor_points([dp * np.arange(np.ceil((lo - reach) / dp),
+                                                   np.floor((hi + reach) / dp) + 1)
+                                    for lo, hi in modes.q_box])
+            passes += [(term, modes, X, P, full), (term, modes, X, P, half),
+                       (term, row, np.zeros((1, d)), p_row, full)]
 
-    # the trace: the u = 0 row at one x node, unbounded in x, on the lattice dp
-    # over the momentum box, widened by the k reach for the gain
-    j0 = int(np.argmin(np.sum(np.abs(modes.u), axis=-1)))
-    if np.any(modes.u[j0] != 0.0):
-        raise RuntimeError("mode set lacks the zero position frequency")
-    row = replace(modes, u=modes.u[j0:j0 + 1], coef=modes.coef[j0:j0 + 1],
-                  x_box=np.array([[-np.inf, np.inf]] * d))
-    reach = quad.resolved_k_max(params) if term == "gain" else 0.0
-    p_row = _tensor_points([dp * np.arange(np.ceil((lo - reach) / dp),
-                                           np.floor((hi + reach) / dp) + 1)
-                            for lo, hi in modes.q_box])
-    per_p, _ = _diagram_core(term, row, np.zeros((1, d)), p_row, dp, params, t, quad)
-    x_period = np.prod(modes.x_box[:, 1] - modes.x_box[:, 0])
+        def run(job):
+            term, mds, xs, ps, (k, wk, _) = job
+            return _diagram_core(term, mds, xs, ps, dp, params, t, k, wk)
+
+        with ThreadPoolExecutor(max_workers=min(workers, len(passes))) as ex:
+            results = list((ex.map if workers > 1 else map)(run, passes))
+        panels, x_period = full[2], np.prod(modes.x_box[:, 1] - modes.x_box[:, 0])
 
     cell = grid.cell_volume
-    err = float(np.sum(np.abs(vals - vals_h)) * cell)
-    norm1 = float(np.sum(np.abs(vals)) * cell)
-    rel = err / norm1 if norm1 > 0 else 0.0
-    report = {
-        "term": term,
-        "panels": panels,
-        "err_est": err,
-        "rel_err_est": rel,
-        "converged": bool(norm1 == 0.0 or rel <= quad.rel_tol),
-        "max_imag": float(np.max(np.abs(vals.imag))),
-        "trace": float(np.sum(per_p.real) * x_period * dp**d),
-        "time_integration": "exact",
-    }
-    return vals.reshape(grid.value_shape()), report
+    out = {}
+    for i, term in enumerate(terms):
+        vals, vals_h, per_p = results[3 * i:3 * i + 3]
+        err = float(np.sum(np.abs(vals - vals_h)) * cell)
+        norm1 = float(np.sum(np.abs(vals)) * cell)
+        rel = err / norm1 if norm1 > 0 else 0.0
+        out[term] = (vals.reshape(grid.value_shape()), {
+            "term": term, "panels": panels, "err_est": err, "rel_err_est": rel,
+            "converged": bool(norm1 == 0.0 or rel <= quad.rel_tol),
+            "max_imag": float(np.max(np.abs(vals.imag))),
+            "trace": float(np.sum(per_p.real) * x_period * dp**d),
+            "time_integration": "exact"})
+    loss_l, rep_ll = out["loss_left"]
+    out["loss_right"] = (np.conj(loss_l), dict(rep_ll, term="loss_right"))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -696,21 +712,11 @@ def evolve_zeroth(w0, params, t):
                     f"{edge} past the boundary at t = {t:.4g}; enlarge the box"
                 )
 
-    out = vals.astype(complex)
-    f = np.where(np.arange(n) < n // 2, np.arange(n), np.arange(n) - n).astype(float)
+    out = vals
     for axis in range(d):
-        u = 2.0 * np.pi * f / (n * grid.dx)
-        shape_u = [1] * (2 * d)
-        shape_u[axis] = n
         shape_p = [1] * (2 * d)
         shape_p[d + axis] = n
-        arg = u.reshape(shape_u) * p.reshape(shape_p) * (t / m)
-        phase = np.exp(-1j * arg)
-        # symmetric-Nyquist shift keeps the real interpolant real
-        nyq_sel = [slice(None)] * (2 * d)
-        nyq_sel[axis] = slice(n // 2, n // 2 + 1)
-        phase[tuple(nyq_sel)] = np.cos(arg[tuple(nyq_sel)])
-        out = np.fft.ifft(np.fft.fft(out, axis=axis) * phase, axis=axis)
+        out = half_shift(out, axis, p.reshape(shape_p) * (-t / (m * grid.dx)))
     return WignerFunction(grid=grid, t=w0.t + t, values=out.real,
                           normalized=w0.normalized, source=None)
 
@@ -744,23 +750,6 @@ def _fast_input(w0, backend):
     return replace(w0, source=None) if backend == "grid" else w0
 
 
-def _second_order(w0, params, t, quad, workers=1):
-    """{term: (complex values, quadrature report)} of the three O(g^2)
-    terms: gain and loss_left from `_diagram_with_report`, in two threads
-    when workers > 1; loss_right as conj(loss_left) with a copy of its report."""
-    terms = ("gain", "loss_left")
-    if workers > 1 and t > 0.0:
-        with ThreadPoolExecutor(max_workers=min(workers, 2)) as ex:
-            futs = [ex.submit(_diagram_with_report, term, w0, params, t, quad)
-                    for term in terms]
-            out = dict(zip(terms, (f.result() for f in futs)))
-    else:
-        out = {term: _diagram_with_report(term, w0, params, t, quad) for term in terms}
-    loss_l, rep_ll = out["loss_left"]
-    out["loss_right"] = (np.conj(loss_l), dict(rep_ll, term="loss_right"))
-    return out
-
-
 @dataclass
 class EvolutionResult:
     w_total: WignerFunction
@@ -778,16 +767,14 @@ def evolve(w0, params, t, quad=None, backend="auto", workers=1):
     defect of the reconstructed density matrix, per-term quadrature reports
     (each with the term's phase-space "trace"), and a perturbativity flag
     when the correction exceeds 30% of the zeroth order in L1.
-    `trace_defect_g2` is the gain's trace less twice loss_left's (module
-    docstring): it checks the q-lattice tables and gathers, the rank
-    factors, the p and p + k masks, the chunking and the thermal branches,
-    in any d.  It does not check the clipped-window elements, which
-    `trace_defect_window` (the correction's sum over the output grid) and
-    the oracle cover, nor the imaginary (energy-shift) part of loss_left.
+    `trace_defect_g2` is the gain's trace less twice loss_left's, both on
+    the same k nodes (module docstring: what it checks and what it misses);
+    `trace_defect_window` is the correction's sum over the output grid.
 
-    The terms come from `_second_order`: gain and loss_left, in two threads
-    when workers > 1 (bitwise the same), and loss_right = conj(loss_left)
-    with a copy of its report; so `max_imag_residue` checks only the gain.
+    The terms come from `_second_order`: gain and loss_left as six
+    independent passes run by `workers` threads (bitwise the same at any
+    count), and loss_right = conj(loss_left) with a copy of its report; so
+    `max_imag_residue` checks only the gain.
 
     The input picks the path: a closed-form state (`w0.source` set) takes
     closed modes and `zeroth_closed`, which samples tails that the shear

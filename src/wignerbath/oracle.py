@@ -633,9 +633,9 @@ def certify_instance(w0, params, t, probes, quad, terms=("gain", "loss_left",
     Emits a JSON-ready record with the instance description, both values,
     self-declared error estimates, and per-probe/per-term pass flags; each
     term's "fast_report" is its quadrature report, phase-space "trace"
-    included (see `evolution._diagram_with_report`).  A
-    probe passes when the relative difference is within _CERTIFY_REL_TOL
-    or within the fast term's rel_err_est plus the oracle's error estimate.
+    included (see `evolution._second_order`).  A probe passes when the
+    relative difference is within _CERTIFY_REL_TOL or within the fast
+    term's rel_err_est plus the oracle's error estimate.
     The oracle's error estimate is the difference from a rerun at
     n_lambda = 20, n_inner = 18 (against the default 28 and 24); both runs
     batch their tau nodes as oracle_diagram describes.

@@ -128,19 +128,22 @@ def mode_coefficients(values, axis):
 
 
 def half_shift(arr, axis, delta):
-    """Resample the trig interpolant along `axis` shifted by `delta` nodes.
+    """Resample the trig interpolant along `axis` shifted by `delta` nodes:
+    one number, or one per line (an array of length 1 along `axis`).
 
     Exact for the split-Nyquist interpolant; for |delta| = 1/2 the Nyquist
     coefficient picks up cos(pi*delta) = 0.
     """
     n = arr.shape[axis]
     m = np.arange(n)
-    f = np.where(m < n // 2, m, m - n).astype(float)
-    phase = np.exp(2j * np.pi * f * delta / n)
-    phase[n // 2] = np.cos(np.pi * delta)
     shape = [1] * arr.ndim
     shape[axis] = n
-    return np.fft.ifft(np.fft.fft(arr, axis=axis) * phase.reshape(shape), axis=axis)
+    f = np.where(m < n // 2, m, m - n).astype(float).reshape(shape)
+    phase = np.exp(2j * np.pi * f * delta / n)
+    nyq = [slice(None)] * arr.ndim
+    nyq[axis] = slice(n // 2, n // 2 + 1)
+    phase[tuple(nyq)] = np.cos(np.pi * delta)
+    return np.fft.ifft(np.fft.fft(arr, axis=axis) * phase, axis=axis)
 
 
 def _wigner_pair(arr, n, dx):

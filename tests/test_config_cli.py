@@ -103,6 +103,27 @@ def test_negative_time_rejected():
         parse_config("times = -0.5\n")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n_x", "0"), ("n_x", "7"), ("lambda_uv", "inf"), ("times", "nan"),
+    ("times", "0.5, inf"), ("t_env", "inf"), ("quad.k_max", "nan"),
+    ("quad.k_max", "inf"), ("quad.rel_tol", "nan"), ("boundary_tol", "nan"),
+    ("dx", "inf")])
+def test_bad_numbers_are_rejected_by_name(tmp_path, key, value):
+    """A non-finite number, or an n_x the grid would reject, is the one error
+    of the aggregated ConfigError, named by its key, and the CLI exits with
+    status 2; QuadratureSpec itself rejects a non-finite k_max or rel_tol."""
+    text = MINIMAL.format(out=tmp_path / "out") + f"{key} = {value}\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert [e.split(":")[0] for e in exc.value.errors] == [key], exc.value.errors
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    assert main(["evolve", "--config", str(cfg_path)]) == 2
+    if key.startswith("quad."):
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureSpec(**{key.split(".")[1]: float(value)})
+
+
 def test_overrides(tmp_path):
     cfg = parse_config(MINIMAL.format(out=tmp_path),
                        overrides={"g": "0.2", "mode": "observables"})

@@ -11,7 +11,7 @@ from wignerbath.states import balanced_grid, density_closed, wigner_closed
 from wignerbath.propagators import bose_occupation, gauss_panels
 from wignerbath.wigner import WignerFunction, observables
 from wignerbath import evolution, propagators
-from wignerbath.evolution import (_diagram_with_report, seg_e0, seg_e1,
+from wignerbath.evolution import (seg_e0, seg_e1,
                                   strip_gain_integral, window_loss_integral,
                                   modes_from_grid, modes_from_closed, zeroth_closed,
                                   _diagram_core, _e0, _f, _expm1i, _q_lattice,
@@ -401,9 +401,12 @@ def test_small_time_quadratic_scaling(tiny_instance):
 
 
 def _core_on_grid(term, modes, grid, params, t, quad):
-    """`_diagram_core` at the grid's nodes, in the grid's value shape."""
+    """`_diagram_core` at the grid's nodes by the full k rule of the grid, as
+    `_second_order` takes it, in the grid's value shape."""
     X, P = (_tensor_points([v] * grid.d) for v in (grid.x_nodes, grid.p_nodes))
-    return _diagram_core(term, modes, X, P, grid.dp, params, t, quad)[0].reshape(
+    k, wk, _ = evolution._k_nodes(params, quad, t, modes.u_max,
+                                  float(np.max(np.abs(grid.p_nodes))))
+    return _diagram_core(term, modes, X, P, grid.dp, params, t, k, wk).reshape(
         grid.value_shape())
 
 
@@ -550,16 +553,17 @@ def test_rank_factors(gauss_spec, cat_spec):
 def test_gain_is_real(gentle_instance):
     w0, params, t, quad = (gentle_instance[k] for k in
                            ("w0", "params", "t", "quad"))
-    g, rep = _diagram_with_report("gain", _input(w0, "grid"), params, t, quad)
+    g, rep = _second_order(_input(w0, "grid"), params, t, quad)["gain"]
     assert rep["max_imag"] < 1e-12 * np.max(np.abs(g.real))
 
 
 def test_backends_agree_when_wrap_free(gentle_instance):
     w0, params, t, quad = (gentle_instance[k] for k in
                            ("w0", "params", "t", "quad"))
+    closed, gridded = (_second_order(_input(w0, path), params, t, quad)
+                       for path in ("closed", "grid"))
     for term in ("gain", "loss_left"):
-        vc, _ = _diagram_with_report(term, w0, params, t, quad)
-        vg, _ = _diagram_with_report(term, _input(w0, "grid"), params, t, quad)
+        vc, vg = closed[term][0], gridded[term][0]
         assert np.max(np.abs(vc - vg)) < 1e-9 * np.max(np.abs(vc))
 
 
@@ -608,8 +612,9 @@ def test_error_estimate_tracks_the_error_on_an_even_half_run(gauss_spec, monkeyp
     quad = QuadratureSpec()
     t = 0.25
     modes = _resolve_modes(w0, params, t, quad)
+    terms = _second_order(w0, params, t, quad)
     for term in ("gain", "loss_left"):
-        vals, rep = _diagram_with_report(term, w0, params, t, quad)
+        vals, rep = terms[term]
         assert rep["panels"] == 9
         assert rep["converged"]
         with monkeypatch.context() as patch:
@@ -699,7 +704,7 @@ def test_chunk_budget_does_not_change_the_terms(gauss_spec, monkeypatch, term):
     t = 0.7
     modes = _resolve_modes(w0, params, t, quad)
     ref = _core_on_grid(term, modes, grid, params, t, quad)
-    ref_trace = _diagram_with_report(term, w0, params, t, quad)[1]["trace"]
+    ref_trace = _second_order(w0, params, t, quad)[term][1]["trace"]
     budget = 1 << 16
     sizes = []
     name = "strip_gain_integral" if term == "gain" else "window_loss_integral"
@@ -718,7 +723,7 @@ def test_chunk_budget_does_not_change_the_terms(gauss_spec, monkeypatch, term):
     assert len(sizes) > 2 * k_nodes
     assert max(sizes) * 16 * 24 <= budget
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
-    got_trace = _diagram_with_report(term, w0, params, t, quad)[1]["trace"]
+    got_trace = _second_order(w0, params, t, quad)[term][1]["trace"]
     assert abs(got_trace - ref_trace) <= 1e-14 * abs(ref_trace)
 
 
@@ -789,11 +794,21 @@ def test_evolve_diagnostics(gentle_instance):
 
 
 def test_workers_bit_identical(gentle_instance):
+    """Every term's values and report are bitwise the same at 1, 2, 6 and 7
+    workers (7 exceeds the six passes of a time step), on the closed and the
+    grid path, and so is W."""
     w0, params, t, quad = (gentle_instance[k] for k in
                            ("w0", "params", "t", "quad"))
+    for path in ("closed", "grid"):
+        ref = _second_order(_input(w0, path), params, t, quad, workers=1)
+        for workers in (2, 6, 7):
+            got = _second_order(_input(w0, path), params, t, quad, workers=workers)
+            for term, (vals, rep) in ref.items():
+                assert np.array_equal(got[term][0], vals), (path, workers, term)
+                assert got[term][1] == rep, (path, workers, term)
     r1 = evolve(w0, params, t, quad, workers=1)
-    r3 = evolve(w0, params, t, quad, workers=3)
-    assert np.array_equal(r1.w_total.values, r3.w_total.values)
+    r7 = evolve(w0, params, t, quad, workers=7)
+    assert np.array_equal(r1.w_total.values, r7.w_total.values)
 
 
 def test_thermal_branches_run(gentle_instance):
@@ -858,11 +873,12 @@ def test_terms_are_linear_in_the_initial_state(x0, p0, sigma, a, b):
 
 @pytest.mark.parametrize("backend", ("closed", "grid"))
 def test_trace_defect_catches_gain_mutations(gentle_instance, monkeypatch, backend):
-    """The trace balance gain = 2 Re(loss_left) holds within 1e-4 gain_l1,
-    and breaks past it when only the gain is computed with the frequency
-    sign of its Bose branches flipped (vacuum and warm) or without its
-    p + k momentum-box mask: the traces come from the diagrams' own tables,
-    masks and branches, not from a separate quadrature."""
+    """The trace balance gain = 2 Re(loss_left) holds within 1e-11 gain_l1
+    (both traces are sums over the same k nodes), and breaks past 1e-4
+    gain_l1 when only the gain is computed with the frequency sign of its
+    Bose branches flipped (vacuum and warm) or without its p + k
+    momentum-box mask: the traces come from the diagrams' own tables, masks
+    and branches, not from a separate quadrature."""
     w0, t, quad = (gentle_instance[k] for k in ("w0", "t", "quad"))
     w0 = _input(w0, backend)
     cell = gentle_instance["grid"].cell_volume
@@ -872,14 +888,15 @@ def test_trace_defect_catches_gain_mutations(gentle_instance, monkeypatch, backe
                  ("_in_q_box", lambda modes, q: np.ones(q.shape[:-1], dtype=bool)))
     for t_env in (0.0, 0.7):
         params = ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=6.0, t_env=t_env)
-        gain, rep = _diagram_with_report("gain", w0, params, t, quad)
-        loss = _diagram_with_report("loss_left", w0, params, t, quad)[1]["trace"]
-        bound = 1e-4 * float(np.sum(np.abs(gain.real)) * cell)
-        assert abs(rep["trace"] - 2.0 * loss) <= bound
+        terms = _second_order(w0, params, t, quad)
+        (gain, rep), loss = terms["gain"], terms["loss_left"][1]["trace"]
+        gain_l1 = float(np.sum(np.abs(gain.real)) * cell)
+        assert abs(rep["trace"] - 2.0 * loss) <= 1e-11 * gain_l1
+        bound = 1e-4 * gain_l1
         for name, mutant in mutations:
             with monkeypatch.context() as patch:
                 patch.setattr(evolution, name, mutant)
-                mutated = _diagram_with_report("gain", w0, params, t, quad)[1]
+                mutated = _second_order(w0, params, t, quad)["gain"][1]
             assert abs(mutated["trace"] - 2.0 * loss) > bound, name
 
 
@@ -921,18 +938,19 @@ def test_static_source_limit(monkeypatch, separation):
     w0 = make_initial_wigner(spec, grid)
     quad = QuadratureSpec(n_k=24, k_max=6.0)
     t = 0.5
-    diagram, branches = evolution._diagram_with_report, evolution._thermal_branches
+    second_order, branches = evolution._second_order, evolution._thermal_branches
 
-    def flipped(term, *args):
-        vals, rep = diagram(term, *args)
-        return (-vals if term == "gain" else vals), rep
+    def flipped(*args):
+        terms = second_order(*args)
+        vals, rep = terms["gain"]
+        return dict(terms, gain=(-vals, rep))
 
     def emission_as_n(omega, params):
         return [(sgn, wgt - 1.0 if sgn > 0.0 and params.t_env > 0.0 else wgt)
                 for sgn, wgt in branches(omega, params)]
 
     mutations = (
-        ("_diagram_with_report", flipped),
+        ("_second_order", flipped),
         ("_thermal_branches",
          lambda omega, params: [(sgn, 2.0 * wgt) for sgn, wgt in branches(omega, params)]),
         ("_thermal_branches", emission_as_n),
