@@ -42,23 +42,23 @@ cancels (`_e0`, `_f`):
     E0(b, d) = Int_0^d e^{ibs} ds          = expm1(w)/(ib)
     F(b, d)  = Int_0^d (d - s) e^{ibs} ds  = d^2 (expm1(w) - w)/w^2.
 
-On the full window I = E0(beta1, t) E0(beta2, t) and Fw = F(B, t).  A
-window [s1, s2] of length d shifts the phase: e^{ib s1} E0 is the integral
-of e^{ibs} and e^{ib s1} (s2 E0 - F) that of s e^{ibs} (`seg_e0`,
-`seg_e1`); the loss window [ta, tb] gives e^{iB ta} ((t - tb) E0 + F)
-(`window_loss_integral`) and the gain's strip in s = t1 + t2, split at
-s = t, a `seg_e0` term and a triangle integral per half, stable at any
-b1 - b2 (`strip_gain_integral`).  An empty window has d = 0, hence value 0.
+The diagrams take them on the full window only: I = E0(beta1, t)
+E0(beta2, t) and Fw = F(B, t).  No window ever clips, because the mode
+period is wrap-free (below).  The windowed integrals over a sub-window
+(`seg_e0`, `seg_e1`, `window_loss_integral`, `strip_gain_integral`) have no
+caller in the package; they are kept, with their tests, for the
+benchmark's tracer, which binds them by name.
 
 q-lattice tables.  The full-window phases depend on (p, u_j) only through
 q+- = p +- u_j/2: beta1 = b(q+), beta2 = -b(q-) with
 b(q) = -(q.k/m + k^2/2m - w_k), and B = B(q+) with
 B(q) = q.k/m - k^2/2m - w_k.  p lies on the lattice dp and u_j/2 on dp/R
-(the closed modes align their period to make it so), so per k chunk the
-kernels are tabulated from plain expm1 on the N_q ~ M + R N_p lattice
-momenta (d = 1), not 2 M N_p, and gathered (`_q_lattice`): the gain's
-I = E0(b(q+)) conj(E0(b(q-))), as E0(-b) = conj(E0(b)); a loss's F summed
-over k first.  The projection onto x runs once per term.
+(the closed modes align their period to make it so, and the grid modes pad
+to a whole multiple of n nodes), so per k chunk the kernels are tabulated
+from plain expm1 on the N_q ~ M + R N_p lattice momenta (d = 1), not
+2 M N_p, and gathered (`_q_lattice`): the gain's I = E0(b(q+))
+conj(E0(b(q-))), as E0(-b) = conj(E0(b)); a loss's F summed over k first.
+The projection onto x runs once per term.
 
 Rank of the coefficients.  gq_j(p + k) is not on the lattice, but c = A B
 has low rank (`_rank_factors`): 1 for a Gaussian, at most one per atom of a
@@ -73,12 +73,18 @@ diagram evaluator computes gain and loss_left only, and `_second_order`, the
 one place that assembles the three terms for `evolve` and certification,
 takes loss_right as conj(loss_left) with a copy of its report.
 
-Initial data are treated as zero outside their box (matching the transform
-module): evaluation points whose position argument would leave the box are
-removed by clipping the analytic time integrals to the admissible
-sub-window: every (p, k) column takes the full window from the tables and
-only the clipped (x, p, k) elements (`_clipped`) add their windowed value
-less it.  The momentum argument p + k is masked to the box directly.
+One wrap-free period.  The mode sum is periodic in position, with period
+L = x_box's width.  Both mode builders take L at least the state's support
+half-width plus the reach of the evaluated positions from the state's
+centre (`_resolve_modes`), so every position x - p t/m + (k shift) that a
+diagram evaluates stays a support half-width away from the images at
+x0 +- L.  A closed-form state is then its exact closed form wherever it is
+evaluated.  A gridded W0 is the band-limited interpolant of its samples
+zero-padded in x to R n nodes (`modes_from_grid`); past the box it rings at
+about the state's edge value, so the terms move by about the edge value
+over the peak from those of the box interpolant cut at the box edge, and
+toward the closed form.  `evolve_zeroth` still rejects a shear that leaves
+the box.  The momentum argument p + k is masked to the box directly.
 
 Only the k integral is numerical: composite Gauss-Legendre panels whose
 count scales with the analytic phase range, so the oscillatory UV tail is
@@ -92,14 +98,13 @@ Unitarity trace.  The direct expression is trace preserving, so the
 correction integrates to zero over phase space: gain = 2 Re(loss_left)
 there.  Each term's integral (its report's "trace") is one more
 `_diagram_core` pass: over one x period only the u = 0 row survives, so it
-is evaluated at one x node, unbounded in x, on the p lattice dp over the
-momentum box (widened by the k reach for the gain), through the same
-tables, gathers, rank factors, masks, chunks and thermal branches as the
-output grid, in any d.  Both traces take the output grid's full k rule, so
+is evaluated at one x node on the p lattice dp over the momentum box
+(widened by the k reach for the gain), through the same tables, gathers,
+rank factors, masks, chunks and thermal branches as the output grid, in
+any d.  Both traces take the output grid's full k rule, so
 the defect checks only the code and the p-lattice sum: `trace` is not a
-separately converged integral.  It misses the clipped-window elements
-(`trace_defect_window` and the oracle cover those) and loss_left's
-imaginary (energy-shift) part.
+separately converged integral.  It misses loss_left's imaginary
+(energy-shift) part.
 """
 
 import math
@@ -174,14 +179,15 @@ def _f(b, d, em1=None):
 
 
 def seg_e0(beta, s1, s2):
-    """Int_{s1}^{s2} e^{i beta s} ds = e^{i beta s1} E0(beta, s2 - s1)."""
+    """Int_{s1}^{s2} e^{i beta s} ds = e^{i beta s1} E0(beta, s2 - s1).
+    Only the benchmark's tracer binds it."""
     beta = np.asarray(beta, dtype=float)
     return np.exp(1j * (beta * s1)) * _e0(beta, np.subtract(s2, s1))
 
 
 def seg_e1(beta, s1, s2):
     """Int_{s1}^{s2} s e^{i beta s} ds = e^{i beta s1} (s2 E0 - F), both at
-    (beta, s2 - s1)."""
+    (beta, s2 - s1).  Only the benchmark's tracer binds it."""
     beta = np.asarray(beta, dtype=float)
     d = np.subtract(s2, s1)
     em1 = _expm1i(beta * d)
@@ -191,7 +197,7 @@ def seg_e1(beta, s1, s2):
 def window_loss_integral(B, t, ta, tb):
     """Int_{ta}^{tb} (t - tau) e^{i B tau} dtau with [ta, tb] clipped to [0, t]:
     e^{i B ta} ((t - tb) E0(B, d) + F(B, d)) with d = tb - ta, which is 0 for
-    an empty window."""
+    an empty window.  Only the benchmark's tracer binds it."""
     B = np.asarray(B, dtype=float)
     ta = np.clip(ta, 0.0, t)
     tb = np.clip(tb, ta, t)
@@ -211,7 +217,8 @@ def strip_gain_integral(b1, b2, t, s_lo, s_hi):
     times a triangle, d^2 times exp's divided difference at 0, ia and ic,
     a, c = xd, (x + gamma) d in the order |a| >= |c|: with g = c - a it is
     d^2 e^{ic} (c F(-c, 1) - g F(-g, 1))/a, both terms at most |a| in size:
-    no cancellation at any gamma.  Empty parts are skipped.
+    no cancellation at any gamma.  Empty parts are skipped.  Only the
+    benchmark's tracer binds it.
     """
     shape = np.broadcast_shapes(*map(np.shape, (b1, b2, s_lo, s_hi)))
     b1, b2 = (np.broadcast_to(np.asarray(v, dtype=float), shape) for v in (b1, b2))
@@ -274,12 +281,13 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class ModeRep:
-    """W0(X, Q) = sum_{j,l} coef[j,l] e^{i(u[j].X + s[l].Q)} inside its box."""
+    """W0(X, Q) = sum_{j,l} coef[j,l] e^{i(u[j].X + s[l].Q)}, periodic in X
+    with period x_box and masked to q_box in Q."""
 
     u: np.ndarray          # (M, d) position-frequency vectors
     s: np.ndarray          # (L, d) momentum-frequency vectors
     coef: np.ndarray       # (M, L) complex coefficients
-    x_box: np.ndarray      # (d, 2) support box in position
+    x_box: np.ndarray      # (d, 2) one wrap-free period in position
     q_box: np.ndarray      # (d, 2) support box in momentum
 
     @property
@@ -294,38 +302,52 @@ def _tensor_points(per_axis):
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
-def modes_from_grid(w0):
-    """Split-Nyquist interpolant modes of the gridded samples."""
+def modes_from_grid(w0, x_reach=None):
+    """Split-Nyquist interpolant modes of the gridded samples, zero-padded in
+    x to a wrap-free period.
+
+    `x_reach` is how far from the box centre the evolution will evaluate the
+    state (None: the box half-width).  The x axes are padded with zeros to
+    R n nodes, R the least integer with R n dx >= x_reach + n dx/2, so the
+    images at +-R n dx stay a box half-width away from every evaluated
+    position; a whole multiple of n keeps u_j/2 on the lattice dp/R
+    (`_q_lattice`).  The mode sum is the band-limited interpolant of the
+    padded samples, and x_box is its period, centred on the box.
+    """
     grid = w0.grid
     d, n = grid.d, grid.n_x
-    c = w0.values.astype(complex)
-    freqs = None
+    box = n * grid.dx
+    reach = 0.5 * box if x_reach is None else float(x_reach)
+    pad = math.ceil((reach + 0.5 * box) / box)
+    c = np.pad(w0.values.astype(complex), [(0, (pad - 1) * n)] * d + [(0, 0)] * d)
+    freqs = []
     for ax in range(2 * d):
-        c, freqs = mode_coefficients(c, axis=ax)
-    du = 2.0 * np.pi / (n * grid.dx)
-    ds = 2.0 * np.pi / (n * grid.dp)
-    u = _tensor_points([freqs * du] * d)
-    s = _tensor_points([freqs * ds] * d)
-    m_per = n + 1
-    coef = c.reshape(m_per**d, m_per**d).copy()
+        c, f = mode_coefficients(c, axis=ax)
+        freqs.append(f)
+    u = _tensor_points([f * (2.0 * np.pi / (pad * box)) for f in freqs[:d]])
+    s = _tensor_points([f * (2.0 * np.pi / (n * grid.dp)) for f in freqs[d:]])
+    coef = c.reshape(u.shape[0], s.shape[0]).copy()
     p_min = grid.p_nodes[0]
     coef *= np.exp(-1j * (u @ np.full(d, grid.x_min)))[:, None]
     coef *= np.exp(-1j * (s @ np.full(d, p_min)))[None, :]
-    half_x, half_p = 0.5 * grid.dx, 0.5 * grid.dp
-    x_box = np.array([[grid.x_min - half_x, grid.x_min + (n - 0.5) * grid.dx]] * d)
-    q_box = np.array([[p_min - half_p, p_min + (n - 0.5) * grid.dp]] * d)
+    x_mid = grid.x_min + 0.5 * (n - 1) * grid.dx
+    x_box = np.array([[x_mid - 0.5 * pad * box, x_mid + 0.5 * pad * box]] * d)
+    q_box = np.array([[p_min - 0.5 * grid.dp, p_min + (n - 0.5) * grid.dp]] * d)
     return ModeRep(u=u, s=s, coef=coef, x_box=x_box, q_box=q_box)
 
 
 def modes_from_closed(spec, dp, x_reach=None):
     """Exact Fourier coefficients of a closed-form state on a private box.
 
-    The position period covers `x_reach` (how far from the packet center the
-    evolution will evaluate the state), so no wrap-around image is ever seen
-    and position windows never clip: the mode sum itself reproduces the true
-    (near-zero) tails.  The momentum box stays at the true support and is
-    enforced by masking instead.  Each period is rounded up to R pi/dp, R an
-    integer and dp the output grid's step, so u_j/2 lies on dp/R (`_q_lattice`).
+    The support half-width is r_sup = CLOSED_DECAY sigma + |separation|/2.
+    The images sit at x0 +- l_x, so one side is enough: with r_x the larger
+    of r_sup and `x_reach` (how far from the packet center the evolution
+    will evaluate the state), l_x >= r_x + r_sup + 2 CLOSED_PAD sigma keeps
+    every evaluated position that far from an image's support, and the mode
+    sum reproduces the true (near-zero) tails there.  The momentum box stays
+    at the true support and is enforced by masking instead.  Each period is
+    rounded up to R pi/dp, R an integer and dp the output grid's step, so
+    u_j/2 lies on dp/R (`_q_lattice`).
     """
     d = spec.d
     sig = spec.sigma
@@ -334,11 +356,10 @@ def modes_from_closed(spec, dp, x_reach=None):
     sep = np.zeros(d)
     sep[0] = spec.separation
 
-    r_x = CLOSED_DECAY * sig * np.ones(d) + np.abs(sep) / 2.0
+    r_sup = CLOSED_DECAY * sig * np.ones(d) + np.abs(sep) / 2.0
     r_q = (CLOSED_DECAY / (2.0 * sig)) * np.ones(d)
-    if x_reach is not None:
-        r_x = np.maximum(r_x, float(x_reach))
-    l_x = 2.0 * (r_x + CLOSED_PAD * sig)
+    r_x = r_sup if x_reach is None else np.maximum(r_sup, float(x_reach))
+    l_x = r_x + r_sup + 2.0 * CLOSED_PAD * sig
     l_x = np.ceil(l_x * dp / np.pi) * np.pi / dp
     l_q = 2.0 * (r_q + CLOSED_PAD / (2.0 * sig))
     u_cut = CLOSED_DECAY / sig
@@ -368,18 +389,19 @@ def modes_from_closed(spec, dp, x_reach=None):
     keep_s = np.max(np.abs(coef), axis=0) > COEF_TRUNC * peak
     u, s, coef = u[keep_u], s[keep_s], coef[np.ix_(keep_u, keep_s)]
 
-    # the position mask box is the full wrap-free period; momentum keeps the
-    # true support and relies on the evaluation mask
+    # x_box is the wrap-free period; momentum keeps the true support and
+    # relies on the evaluation mask
     x_box = np.stack([x0 - l_x / 2.0, x0 + l_x / 2.0], axis=-1)
     q_box = np.stack([p0 - r_q, p0 + r_q], axis=-1)
     return ModeRep(u=u, s=s, coef=coef, x_box=x_box, q_box=q_box)
 
 
 def build_modes(w0, x_reach=None):
-    """Closed modes for a closed-form state, grid modes for gridded input."""
+    """Closed modes for a closed-form state, grid modes for gridded input,
+    each with a period that clears `x_reach` from the state's centre."""
     if isinstance(w0.source, InitialStateSpec):
         return modes_from_closed(w0.source, w0.grid.dp, x_reach=x_reach)
-    return modes_from_grid(w0)
+    return modes_from_grid(w0, x_reach=x_reach)
 
 
 # ---------------------------------------------------------------------------
@@ -423,35 +445,6 @@ def _thermal_branches(omega, params):
     return [(+1.0, 1.0 + occ), (-1.0, occ)]
 
 
-def _windows(xt, slopes, x_box, dom_hi):
-    """Per (xt row, p, k): the s window in [0, dom_hi] in which every axis of
-    xt + slope s stays inside x_box; xt is (rows, Np, d), slopes (K, d).
-    Empty windows have lo >= hi."""
-    w_lo, w_hi = 0.0, dom_hi
-    for ax in range(xt.shape[-1]):
-        center, slope = xt[..., ax][..., None], slopes[:, ax]
-        lo, hi = x_box[ax]
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            b1 = (lo - center) / slope
-            b2 = (hi - center) / slope
-        inside = (center >= lo) & (center <= hi)
-        flat = slope == 0.0
-        w_lo = np.maximum(w_lo, np.where(flat, dom_hi * ~inside, np.where(slope > 0, b1, b2)))
-        w_hi = np.minimum(w_hi, np.where(flat, dom_hi * inside, np.where(slope > 0, b2, b1)))
-    return w_lo, w_hi
-
-
-def _clipped(xt, slopes, x_box, dom_hi):
-    """The (x, p, k) elements with a clipped window (lo > 0 or hi < dom_hi) and their
-    windows, sorted by (x, p); xt is monotone in x, so only (p, k) columns whose
-    first or last x row is clipped can hold any."""
-    e_lo, e_hi = _windows(xt[[0, -1]], slopes, x_box, dom_hi)
-    cols = np.nonzero(((e_lo > 0.0) | (e_hi < dom_hi)).any(axis=(0, 1)))[0]
-    w_lo, w_hi = _windows(xt, slopes[cols], x_box, dom_hi)
-    ix, ip, ik = np.nonzero((w_lo > 0.0) | (w_hi < dom_hi))
-    return ix, ip, cols[ik], w_lo[ix, ip, ik], w_hi[ix, ip, ik]
-
-
 def _in_q_box(modes, q):
     """Whether each momentum q[..., :] lies inside the modes' q box."""
     return np.all((q >= modes.q_box[:, 0]) & (q <= modes.q_box[:, 1]), axis=-1)
@@ -490,30 +483,24 @@ def _diagram_core(term, modes, X, P, dp, params, t, k, wk):
     out; an (N_x, N_p) array.
 
     Every (p, k) column enters the (M, N_p) sum from the q-lattice tables
-    (module docstring), the gain's through the rank-R factors of the
-    coefficients as an (N_p, M, R) sum; only the clipped (x, p, k) elements
-    (`_clipped`) add their windowed integral at the tabulated phases less
-    the tabulated value, times gq = A G at those elements for the gain,
-    summed per (x, p) into an (M, N_x N_p) sum.  Both sums run over every
-    chunk and branch and are projected onto x once.
+    on the full time window (module docstring), the gain's through the
+    rank-R factors of the coefficients as an (N_p, M, R) sum.  The sum runs
+    over every chunk and branch and is projected onto x once; the mode
+    period is wrap-free, so no window clips.
     """
     d = params.d
     m = params.m_s
-    nx, npts = X.shape[0], P.shape[0]
+    npts = P.shape[0]
     M, L = modes.coef.shape
 
     omega = np.sqrt(np.sum(k**2, axis=-1) + params.m_e**2)
     branches = _thermal_branches(omega, params)
     qv, iqp, iqm = _q_lattice(modes, P, dp)
 
-    xt = X[:, None, :] - P[None, :, :] * (t / m)             # (Nx, Np, d)
     ux_phase = np.exp(1j * (modes.u @ X.T))                  # (M, Nx)
     up_phase = np.exp(-1j * (modes.u @ P.T) * (t / m))       # (M, Np)
     sp_phase = np.exp(1j * (modes.s @ P.T))                  # (L, Np)
-    dom_hi = 2.0 * t if term == "gain" else t
-    slope_sign = -1.0 if term == "gain" else +1.0
 
-    contrib = 0.0        # the clipped elements' (M, Nx Np) sum, once there are any
     if term == "gain":
         # gq = A G with G = B e^{is.(p+k)}: acc[p, j, r] sums I G ww over k,
         # and A contracts it once at the end
@@ -528,24 +515,15 @@ def _diagram_core(term, modes, X, P, dp, params, t, k, wk):
         weight = up_phase * (modes.coef @ sp_phase) * _in_q_box(modes, P)[None, :]
 
     # chunk k so its tensors stay bounded: per k node the gain's (Np, M) I
-    # and its second gather and (R, Np) G, G ww and its transposed copy, the
-    # (Nx, Np) windows of `_clipped`, the (Nq,) tables; and slice the clipped
-    # elements so their (M, E) temporaries do
-    per_k = max(npts * (2 * M + 3 * rank), 3 * nx * npts, 6 * qv.shape[0])
-    chunk = chunk_len(16 * per_k)
-    per = chunk_len(16 * M * 24)
+    # and its second gather and (R, Np) G, G ww and its transposed copy, and
+    # the (Nq,) tables
+    chunk = chunk_len(16 * max(npts * (2 * M + 3 * rank), 6 * qv.shape[0]))
     for k0 in range(0, k.shape[0], chunk):
         sl = slice(k0, k0 + chunk)
         kc, wc, om = k[sl], wk[sl], omega[sl]
         kk2 = np.sum(kc**2, axis=-1) / (2.0 * m)
         qk = (qv @ kc.T) / m                                 # (Nq, K)
         meas = wc / ((2.0 * np.pi) ** d * 2.0 * om)
-        slopes = slope_sign * kc / (2.0 * m)                 # (K, d)
-        ix, ip, ik, w_lo, w_hi = _clipped(xt, slopes, modes.x_box, dom_hi)
-        xp = ix * npts + ip
-        # allocated before the chunk's temporaries: among them it pins the heap top
-        if xp.size and not np.ndim(contrib):
-            contrib = np.zeros((M, nx * npts), dtype=complex)
 
         if term == "gain":
             sk_phase = np.exp(1j * (modes.s @ kc.T))         # (L, K)
@@ -562,42 +540,26 @@ def _diagram_core(term, modes, X, P, dp, params, t, k, wk):
                 acc += i_full @ (g_tab * ww).transpose(1, 2, 0)
             else:
                 b = qk - kk2[None, :] - sgn * om[None, :]     # B(q)
-                f_tab = _f(b, t)
-                acc += (f_tab @ ww)[iqp]
-            # clipped elements, sorted by (x, p): windowed less tabulated
-            for e0 in range(0, xp.size, per):
-                e = slice(e0, e0 + per)
-                pe, ke = ip[e], ik[e]
-                if term == "gain":
-                    val = strip_gain_integral(b[iqp[:, pe], ke], -b[iqm[:, pe], ke],
-                                              t, w_lo[e], w_hi[e])
-                    val -= i_full[pe, :, ke].T
-                    val *= a_fac @ g_tab[:, pe, ke]
-                else:
-                    val = window_loss_integral(b[iqp[:, pe], ke], t, w_lo[e], w_hi[e])
-                    val -= f_tab[iqp[:, pe], ke]
-                val *= ww[ke]
-                starts = np.flatnonzero(np.diff(xp[e], prepend=-1))
-                contrib[:, xp[e][starts]] += np.add.reduceat(val, starts, axis=1)
+                acc += (_f(b, t) @ ww)[iqp]
 
     if term == "gain":
         acc = np.einsum("pjr,jr->jp", acc, a_fac)
-    out = ux_phase.T @ (weight * acc)
-    if np.ndim(contrib):
-        out += np.einsum("jx,jp,jxp->xp", ux_phase, weight,
-                         contrib.reshape(M, nx, npts))
-    return out
+    return ux_phase.T @ (weight * acc)
 
 
 def _resolve_modes(w0, params, t, quad):
-    """Build the mode rep, sizing the closed modes' period to the reach."""
+    """Build the mode rep with a wrap-free period: each builder gets the
+    reach of the evaluated positions x - p t/m + (k shift) from the state's
+    centre, the packet center x0 for a closed-form state and the box centre
+    for gridded input (the box half-width)."""
     grid = w0.grid
-    x_span = float(np.max(np.abs(grid.x_nodes)))
-    p_span = float(np.max(np.abs(grid.p_nodes)))
-    x_reach = x_span + (p_span + quad.resolved_k_max(params)) * t / params.m_s
     if isinstance(w0.source, InitialStateSpec):
-        x_reach += float(np.max(np.abs(np.array(w0.source.x0))))
-    return build_modes(w0, x_reach=x_reach)
+        reach = float(np.max(np.abs(grid.x_nodes[:, None] - np.array(w0.source.x0))))
+    else:
+        reach = 0.5 * grid.n_x * grid.dx
+    p_span = float(np.max(np.abs(grid.p_nodes)))
+    reach += (p_span + quad.resolved_k_max(params)) * t / params.m_s
+    return build_modes(w0, x_reach=reach)
 
 
 def _second_order(w0, params, t, quad, workers=1):
@@ -625,13 +587,12 @@ def _second_order(w0, params, t, quad, workers=1):
         p_scale = float(np.max(np.abs(grid.p_nodes)))
         full, half = (_k_nodes(params, quad, t, modes.u_max, p_scale, h)
                       for h in (False, True))
-        # the trace: the u = 0 row at one x node, unbounded in x, on the lattice
-        # dp over the momentum box, widened by the k reach for the gain
+        # the trace: the u = 0 row at one x node, on the lattice dp over the
+        # momentum box, widened by the k reach for the gain
         j0 = int(np.argmin(np.sum(np.abs(modes.u), axis=-1)))
         if np.any(modes.u[j0] != 0.0):
             raise RuntimeError("mode set lacks the zero position frequency")
-        row = replace(modes, u=modes.u[j0:j0 + 1], coef=modes.coef[j0:j0 + 1],
-                      x_box=np.array([[-np.inf, np.inf]] * d))
+        row = replace(modes, u=modes.u[j0:j0 + 1], coef=modes.coef[j0:j0 + 1])
         passes = []
         for term in terms:
             reach = quad.resolved_k_max(params) if term == "gain" else 0.0

@@ -52,6 +52,9 @@ class ModelParams:
     def __post_init__(self):
         if self.d not in (1, 3):
             raise ValueError(f"spatial dimension must be 1 or 3, got {self.d}")
+        for name in ("m_s", "m_e", "g", "t_env", "lambda_uv"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (self.m_s > 0.0):
             raise ValueError("m_s must be positive")
         if not (self.m_e > 0.0):
@@ -60,8 +63,6 @@ class ModelParams:
             raise ValueError("lambda_uv must exceed m_e")
         if self.t_env < 0.0:
             raise ValueError("t_env must be >= 0")
-        if not np.isfinite(self.g):
-            raise ValueError("g must be finite")
 
 
 @dataclass(frozen=True)

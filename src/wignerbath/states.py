@@ -36,12 +36,15 @@ class InitialStateSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "cat"):
             raise ValueError(f"unknown state kind {self.kind!r}")
+        object.__setattr__(self, "x0", tuple(float(v) for v in np.atleast_1d(self.x0)))
+        object.__setattr__(self, "p0", tuple(float(v) for v in np.atleast_1d(self.p0)))
+        for name in ("x0", "p0", "sigma", "separation", "phase"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if not (self.sigma > 0.0):
             raise ValueError("sigma must be positive")
         if self.separation < 0.0:
             raise ValueError("cat separation must be >= 0")
-        object.__setattr__(self, "x0", tuple(float(v) for v in np.atleast_1d(self.x0)))
-        object.__setattr__(self, "p0", tuple(float(v) for v in np.atleast_1d(self.p0)))
         if len(self.x0) != len(self.p0):
             raise ValueError("x0 and p0 must have the same dimension")
 

@@ -44,7 +44,8 @@ def tiny_instance(gauss_spec, params_ref):
 
 @pytest.fixture(scope="session")
 def gentle_instance(gauss_spec):
-    """A soft-cutoff instance where the gridded backend is wrap-free."""
+    """A soft-cutoff instance whose gridded W0 is small at the box edge, so
+    the grid and closed paths agree closely."""
     grid = balanced_grid(gauss_spec, 32)
     w0 = make_initial_wigner(gauss_spec, grid, boundary_tol=1e-6)
     params = ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=6.0)

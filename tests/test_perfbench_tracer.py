@@ -1,7 +1,8 @@
 """The benchmark's tracer (`perfbench/tracer.py`) wraps functions of the
 package by name, and `Tracer.install` raises on a missing one, which stops
-`perfbench/run.py --trace 1`.  `evolution.seg_e1` has no caller in the
-package; it is kept because the tracer binds it."""
+`perfbench/run.py --trace 1`.  The windowed kernels `evolution.seg_e0`,
+`seg_e1`, `window_loss_integral` and `strip_gain_integral` have no caller in
+the package; they are kept because the tracer binds them."""
 
 import importlib
 import importlib.util

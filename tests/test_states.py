@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from wignerbath import InitialStateSpec, make_initial_wigner
+from wignerbath import InitialStateSpec, ModelParams, make_initial_wigner
 from wignerbath.states import (balanced_grid, wigner_closed, density_closed,
                                psi_closed)
 from wignerbath.wigner import observables
@@ -74,6 +74,23 @@ def test_invalid_specs_rejected():
         InitialStateSpec(kind="cat", separation=-2.0)
     with pytest.raises(ValueError, match="kind"):
         InitialStateSpec(kind="squeezed")
+
+
+@pytest.mark.parametrize("cls, field, value", [
+    (ModelParams, "m_s", np.inf), (ModelParams, "m_e", np.nan), (ModelParams, "g", np.inf),
+    (ModelParams, "t_env", np.nan), (ModelParams, "t_env", np.inf),
+    (ModelParams, "lambda_uv", np.inf),
+    (InitialStateSpec, "x0", (np.nan,)), (InitialStateSpec, "p0", (np.inf,)),
+    (InitialStateSpec, "sigma", np.inf), (InitialStateSpec, "separation", np.inf),
+    (InitialStateSpec, "phase", np.nan)])
+def test_non_finite_inputs_rejected_by_name(cls, field, value):
+    """A non-finite model parameter or state parameter is rejected when the
+    dataclass is built, by a ValueError that names the field (an infinite
+    lambda_uv used to reach the k rule and overflow there)."""
+    base = ({"d": 1, "m_s": 1.0, "m_e": 1.0, "g": 0.1} if cls is ModelParams
+            else {"kind": "cat", "separation": 2.0})
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        cls(**dict(base, **{field: value}))
 
 
 def test_cat_negativity(cat_spec):
