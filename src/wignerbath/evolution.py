@@ -71,7 +71,8 @@ loss_right is the complex conjugate of loss_left (B~ = -B once u_j -> -u_j,
 and the coefficients of a real W0 satisfy c_{-j,-l} = conj(c_{jl})), so the
 diagram evaluator computes gain and loss_left only, and `_second_order`, the
 one place that assembles the three terms for `evolve` and certification,
-takes loss_right as conj(loss_left) with a copy of its report.
+takes loss_right as conj(loss_left) with a copy of its report.  It
+evaluates only the terms asked for: certification may ask for fewer.
 
 One wrap-free period.  The mode sum is periodic in position, with period
 L = x_box's width.  Both mode builders take L at least the state's support
@@ -562,14 +563,16 @@ def _resolve_modes(w0, params, t, quad):
     return build_modes(w0, x_reach=reach)
 
 
-def _second_order(w0, params, t, quad, workers=1):
-    """{term: (complex values, quadrature report)} of the three O(g^2) terms,
-    from one plan per time step: one mode rep, two k rules from the output
-    grid (full, and half for the error estimate), and per term three
-    independent `_diagram_core` passes: the output grid at either rule and
-    the trace row at the full rule.  `workers` threads run the six passes in
-    pass order, bitwise the same at any count.  loss_right is conj(loss_left)
-    with a copy of its report.
+def _second_order(w0, params, t, quad, workers=1,
+                  terms=("gain", "loss_left", "loss_right")):
+    """{term: (complex values, quadrature report)} of the O(g^2) terms asked
+    for, from one plan per time step: one mode rep, two k rules from the
+    output grid (full, and half for the error estimate), and per evaluated
+    term three independent `_diagram_core` passes: the output grid at either
+    rule and the trace row at the full rule.  `workers` threads run the
+    passes (six for all terms) in pass order, bitwise the same at any count.
+    loss_right is conj(loss_left) with a copy of its report, so asking for
+    loss_right evaluates (and returns) loss_left too.
     """
     if t < 0.0:
         raise ValueError("t must be >= 0")
@@ -577,10 +580,11 @@ def _second_order(w0, params, t, quad, workers=1):
     d, dp = grid.d, grid.dp
     if d != params.d:
         raise ValueError("grid dimension does not match params.d")
-    terms = ("gain", "loss_left")
+    evaluated = [term for term in ("gain", "loss_left")
+                 if term in terms or (term == "loss_left" and "loss_right" in terms)]
     if t == 0.0:
         zero = np.zeros((grid.n_x**d, grid.n_x**d), dtype=complex)
-        results, panels, x_period = [zero] * 6, 0, 0.0
+        results, panels, x_period = [zero] * (3 * len(evaluated)), 0, 0.0
     else:
         modes = _resolve_modes(w0, params, t, quad)
         X, P = (_tensor_points([v] * d) for v in (grid.x_nodes, grid.p_nodes))
@@ -594,7 +598,7 @@ def _second_order(w0, params, t, quad, workers=1):
             raise RuntimeError("mode set lacks the zero position frequency")
         row = replace(modes, u=modes.u[j0:j0 + 1], coef=modes.coef[j0:j0 + 1])
         passes = []
-        for term in terms:
+        for term in evaluated:
             reach = quad.resolved_k_max(params) if term == "gain" else 0.0
             p_row = _tensor_points([dp * np.arange(np.ceil((lo - reach) / dp),
                                                    np.floor((hi + reach) / dp) + 1)
@@ -612,7 +616,7 @@ def _second_order(w0, params, t, quad, workers=1):
 
     cell = grid.cell_volume
     out = {}
-    for i, term in enumerate(terms):
+    for i, term in enumerate(evaluated):
         vals, vals_h, per_p = results[3 * i:3 * i + 3]
         err = float(np.sum(np.abs(vals - vals_h)) * cell)
         norm1 = float(np.sum(np.abs(vals)) * cell)
@@ -623,8 +627,9 @@ def _second_order(w0, params, t, quad, workers=1):
             "max_imag": float(np.max(np.abs(vals.imag))),
             "trace": float(np.sum(per_p.real) * x_period * dp**d),
             "time_integration": "exact"})
-    loss_l, rep_ll = out["loss_left"]
-    out["loss_right"] = (np.conj(loss_l), dict(rep_ll, term="loss_right"))
+    if "loss_right" in terms:
+        loss_l, rep_ll = out["loss_left"]
+        out["loss_right"] = (np.conj(loss_l), dict(rep_ll, term="loss_right"))
     return out
 
 

@@ -14,6 +14,7 @@ from wignerbath import (InitialStateSpec, ModelParams, QuadratureSpec,
                         env_feynman, env_dyson)
 from wignerbath.states import balanced_grid, density_closed, wigner_closed
 from wignerbath.wigner import observables
+from wignerbath import oracle
 from wignerbath.oracle import (default_probes, certify_instance,
                                epsilon_extrapolated_propagator)
 from wignerbath.evolution import _fast_input, _second_order
@@ -158,6 +159,8 @@ def test_criterion_6_diagram_certification(reference_run):
         rels = [e["rel_diff"] for e in entry["probes"]]
         assert all(e["status"] == "ok" for e in entry["probes"])
         assert max(rels) <= 1e-5, term
+        assert entry["oracle_converged"] == all(
+            e["oracle_err_est"] <= oracle._LADDER_TOL for e in entry["probes"]), term
         worst = max(worst, max(rels))
     assert record["all_passed"]
     _report(6, f"fast-path vs oracle over 3 terms x 9 probes "

@@ -807,6 +807,25 @@ def test_workers_bit_identical(gentle_instance):
     assert np.array_equal(r1.w_total.values, r7.w_total.values)
 
 
+@pytest.mark.parametrize("terms, evaluated", [(("gain",), ("gain",)),
+                                               (("loss_right",), ("loss_left",))])
+def test_second_order_evaluates_only_the_terms_asked_for(gentle_instance, monkeypatch,
+                                                          terms, evaluated):
+    """A subset of the terms runs only its own three passes and reads
+    bitwise as in the full call; loss_right brings loss_left with it."""
+    w0, params, t, quad = (gentle_instance[k] for k in
+                           ("w0", "params", "t", "quad"))
+    full = _second_order(w0, params, t, quad)
+    calls, core = [], evolution._diagram_core
+    monkeypatch.setattr(evolution, "_diagram_core",
+                        lambda term, *args: calls.append(term) or core(term, *args))
+    got = _second_order(w0, params, t, quad, terms=terms)
+    assert calls == [evaluated[0]] * 3
+    assert set(got) == set(terms) | set(evaluated)
+    for term, (vals, rep) in got.items():
+        assert np.array_equal(vals, full[term][0]) and rep == full[term][1], term
+
+
 def test_thermal_branches_run(gentle_instance):
     w0, t, quad = (gentle_instance[k] for k in ("w0", "t", "quad"))
     warm = ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=6.0, t_env=0.7)

@@ -10,7 +10,7 @@ from wignerbath import propagators
 from wignerbath.oracle import (oracle_wigner_transform, oracle_diagram,
                                epsilon_extrapolated_propagator, ProbeSet,
                                default_probes, packet_coeffs, certify_instance)
-from wignerbath import evolution
+from wignerbath import evolution, oracle
 from wignerbath.evolution import _fast_input, _second_order
 
 
@@ -152,6 +152,61 @@ def test_certify_record_structure(gentle_instance):
     assert record["terms"]["gain"]["passed"]
     entry = record["terms"]["gain"]["probes"][0]
     assert {"probe", "fast", "oracle", "rel_diff", "status"} <= set(entry)
+
+
+def test_certify_ladder_stops_where_two_rules_agree(gentle_instance):
+    """On the gentle instance every term stops at the second rung, (20, 18),
+    whose values read as those of the oracle's default rule (28, 24)."""
+    w0, params, t, quad, grid = (gentle_instance[k] for k in
+                                 ("w0", "params", "t", "quad", "grid"))
+    probes = default_probes(grid, params, t)
+    record = certify_instance(w0, params, t, probes, quad)
+    assert record["all_passed"]
+    for term, entry in record["terms"].items():
+        assert entry["oracle_rule"] == [20, 18] and entry["oracle_rungs"] == 2, term
+        assert entry["oracle_converged"], term
+        assert max(e["oracle_err_est"] for e in entry["probes"]) <= 1e-8, term
+        ref, _ = oracle_diagram(term, w0, params, t, probes)
+        orc = np.array([complex(*e["oracle"]) for e in entry["probes"]])
+        assert np.max(np.abs(orc - ref) / np.abs(ref)) <= 1e-12, term
+
+
+def test_certify_ladder_ends_at_the_default_rule(gentle_instance, monkeypatch):
+    """With a ladder tolerance that no pair of rules meets, the ladder climbs
+    to (28, 24) and reports its values, with the difference from (20, 18)
+    relative to the larger of the fast and oracle values as the estimate."""
+    w0, params, t, quad, grid = (gentle_instance[k] for k in
+                                 ("w0", "params", "t", "quad", "grid"))
+    probes = ProbeSet(points=default_probes(grid, params, t).points[:4],
+                      grid=grid, params=params, t=t)
+    monkeypatch.setattr(oracle, "_LADDER_TOL", 0.0)
+    record = certify_instance(w0, params, t, probes, quad,
+                              terms=("gain", "loss_right"))
+    assert list(record["terms"]) == ["gain", "loss_right"]
+    for term, entry in record["terms"].items():
+        assert entry["oracle_rule"] == [28, 24] and entry["oracle_rungs"] == 3, term
+        assert not entry["oracle_converged"], term
+        hi, _ = oracle_diagram(term, w0, params, t, probes)
+        lo, _ = oracle_diagram(term, w0, params, t, probes, n_lambda=20, n_inner=18)
+        for e, h, l in zip(entry["probes"], hi, lo):
+            scale = max(abs(complex(*e["fast"])), abs(h), 1e-300)
+            assert e["oracle"] == [h.real, h.imag], term
+            assert e["oracle_err_est"] == abs(h - l) / scale, term
+
+
+def test_certify_ladder_stops_once_the_budget_is_spent(gentle_instance):
+    """No rung starts after the runtime budget is spent: the first rung's
+    values are reported, with no error estimate."""
+    w0, params, t, quad, grid = (gentle_instance[k] for k in
+                                 ("w0", "params", "t", "quad", "grid"))
+    probes = ProbeSet(points=default_probes(grid, params, t).points[:3],
+                      grid=grid, params=params, t=t)
+    record = certify_instance(w0, params, t, probes, quad, terms=("gain",),
+                              budget_s=1e-9)
+    entry = record["terms"]["gain"]
+    assert entry["oracle_rule"] == list(oracle._RUNGS[0]) and entry["oracle_rungs"] == 1
+    assert not entry["oracle_converged"]
+    assert all(np.isnan(e["oracle_err_est"]) for e in entry["probes"])
 
 
 def test_certify_rejects_before_the_fast_path(gentle_instance, monkeypatch):
