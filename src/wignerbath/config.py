@@ -22,12 +22,13 @@ reported together, not one at a time.
     state.sigma  packet width
     state.separation, state.phase   cat parameters
     times        output times >= 0, strictly increasing; one or more (one to certify)
-    quad.n_k     Gauss-Legendre nodes per k panel (>= 16)
+    quad.n_k     Gauss nodes per k panel, with n_k + 1 Kronrod nodes between them
+                 (16 to 64)
     quad.k_max   k cutoff (0 = lambda_uv; must not exceed lambda_uv)
     quad.rel_tol tolerance on each term's error estimate
     out.dir      output directory
     out.plot_data  true | false  (gnuplot triplet files)
-    workers      worker threads for the six passes of each time step
+    workers      worker threads for the four passes of each time step
     backend      auto | grid
     boundary_tol relative tail tolerance at the box boundary
 """

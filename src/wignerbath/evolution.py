@@ -87,13 +87,12 @@ over the peak from those of the box interpolant cut at the box edge, and
 toward the closed form.  `evolve_zeroth` still rejects a shear that leaves
 the box.  The momentum argument p + k is masked to the box directly.
 
-Only the k integral is numerical: composite Gauss-Legendre panels whose
-count scales with the analytic phase range, so the oscillatory UV tail is
-always resolved; n_k sets the nodes per panel.  Each term's error estimate
-is its change under a rerun at half the panels, rounded up to an even
-count below the full one (`_k_nodes`), so that k = 0 is a panel edge.  The
-k rules are chosen once per time step, from the output grid, by
-`_second_order`: the full rule and the half rule, shared by both terms.
+Only the k integral is numerical: composite Gauss-Kronrod panels (n_k
+Gauss nodes and the n_k + 1 Kronrod nodes between them), an even count
+that resolves the oscillatory UV phase, so that k = 0 is a panel edge
+(`_k_nodes`).  A term is its Kronrod sum; its error estimate, the L1 norm
+of the difference from the embedded Gauss sum, comes from the same pass.
+`_second_order` takes the one k rule of a time step from the output grid.
 
 Unitarity trace.  The direct expression is trace preserving, so the
 correction integrates to zero over phase space: gain = 2 Re(loss_left)
@@ -102,8 +101,8 @@ there.  Each term's integral (its report's "trace") is one more
 is evaluated at one x node on the p lattice dp over the momentum box
 (widened by the k reach for the gain), through the same tables, gathers,
 rank factors, masks, chunks and thermal branches as the output grid, in
-any d.  Both traces take the output grid's full k rule, so
-the defect checks only the code and the p-lattice sum: `trace` is not a
+any d.  Both traces take the output grid's k rule (its Kronrod column),
+so the defect checks only the code and the p-lattice sum: `trace` is not a
 separately converged integral.  It misses loss_left's imaginary
 (energy-shift) part.
 """
@@ -117,13 +116,14 @@ import numpy as np
 from .wigner import (WignerFunction, mode_coefficients, density_from_wigner,
                      half_shift)
 from .states import InitialStateSpec, sample_closed, wigner_atoms
-from .propagators import bose_occupation, chunk_len, gauss_panels
+from .propagators import bose_occupation, chunk_len, kronrod_rule
 
 SUPPORT_TOL = 1e-9        # relative mass threshold for the shear support check
 CLOSED_DECAY = 8.9        # closed modes: Gaussian widths kept around each atom
 CLOSED_PAD = 3.0          # closed modes: extra widths of period beyond that
 COEF_TRUNC = 1e-19        # closed-form mode coefficient truncation
 PHASE_PER_PANEL = 24.0    # analytic phase (radians) covered by one k panel
+TERMS = ("gain", "loss_left", "loss_right")
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +249,13 @@ def strip_gain_integral(b1, b2, t, s_lo, s_hi):
 class QuadratureSpec:
     """Controls for the numerical momentum-transfer integral.
 
-    The k rule is always composite Gauss-Legendre with n_k nodes per panel;
-    a term converged when its error estimate is within rel_tol.  k_max = 0
-    means "use the model's UV cutoff".  There is no time quadrature to
-    control: the fast path integrates time analytically and reports it as
-    exact, and the certification oracle sizes its time quadrature with its
-    own n_lambda and n_inner.
+    The k rule is always composite Gauss-Kronrod with n_k Gauss nodes per
+    panel; a term converged when its error estimate is within rel_tol.
+    n_k <= 64, as the tests use 16-48 and criterion 7 doubles the default 24.
+    k_max = 0 means "use the model's UV cutoff".  There is no time quadrature
+    to control: the fast path integrates time analytically and reports it
+    as exact, and the certification oracle sizes its time quadrature with
+    its own n_lambda and n_inner.
     """
 
     n_k: int = 24
@@ -262,8 +263,8 @@ class QuadratureSpec:
     rel_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.n_k < 16:
-            raise ValueError("n_k must be >= 16")
+        if not 16 <= self.n_k <= 64:
+            raise ValueError(f"n_k must be in [16, 64], got {self.n_k}")
         if not (math.isfinite(self.k_max) and self.k_max >= 0.0):
             raise ValueError("k_max must be finite and >= 0 (0 selects the UV cutoff)")
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
@@ -409,27 +410,26 @@ def build_modes(w0, x_reach=None):
 # momentum-transfer quadrature
 # ---------------------------------------------------------------------------
 
-def _k_nodes(params, quad, t, u_max, p_scale, half=False):
-    """Tensor nodes/weights on the d-cube with the |k| <= k_max ball mask,
-    and the panels per axis, sized from the phase range at u_max and p_scale
-    (`_second_order` takes both rules of a time step from the output grid).
-
-    The full run takes at least 2 panels.  The half-panel run of the error
-    estimate takes half as many, rounded up to an even count that stays
-    below the full one, so that k = 0, next to the branch points of 1/w at
-    k = +-i m_e, is a panel edge and not a panel's centre; at the floor the
-    full run's 2 panels give 1.
+def _k_nodes(params, quad, t, u_max, p_scale):
+    """Tensor nodes on the d-cube with the |k| <= k_max ball mask, their
+    (K, 2) weights (Kronrod, then its embedded Gauss rule; `kronrod_rule`)
+    and the panels per axis, 2 ceil(phase / (4 PHASE_PER_PANEL)) from the
+    phase range at u_max and p_scale, at least 2.  The count is even, so
+    that k = 0, next to the branch points of 1/w at k = +-i m_e, is a panel
+    edge and not a panel's centre.
     """
     k_max = quad.resolved_k_max(params)
     m = params.m_s
     phase = (2.0 * k_max * t * (p_scale + 0.5 * u_max) / m
              + k_max**2 * t / m + 2.0 * k_max * t + 2.0 * np.pi)
-    panels = int(max(2, np.ceil(phase / PHASE_PER_PANEL)))
-    if half:
-        panels = 2 * math.ceil(panels / 4) if panels > 2 else 1
-    nodes1, w1 = gauss_panels(-k_max, k_max, quad.n_k, panels)
+    panels = 2 * max(1, math.ceil(phase / (4.0 * PHASE_PER_PANEL)))
+    base_x, base_w = kronrod_rule(quad.n_k)
+    edges = np.linspace(-k_max, k_max, panels + 1)
+    half, mid = 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[1:] + edges[:-1])
+    nodes1 = (mid[:, None] + half[:, None] * base_x).ravel()
+    w1 = (half[:, None, None] * base_w).reshape(-1, 2)
     k = _tensor_points([nodes1] * params.d)
-    w = np.prod(_tensor_points([w1] * params.d), axis=-1)
+    w = np.prod(w1[_tensor_points([np.arange(nodes1.size)] * params.d)], axis=1)
     mask = np.sum(k**2, axis=-1) <= k_max**2
     return k[mask], w[mask], panels
 
@@ -480,19 +480,20 @@ def _rank_factors(coef):
 
 def _diagram_core(term, modes, X, P, dp, params, t, k, wk):
     """gain or loss_left at the points X (N_x, d) and P (N_p, d), P on
-    the lattice dp, by the k rule (k, wk) of `_k_nodes`, coupling factored
-    out; an (N_x, N_p) array.
+    the lattice dp, by the k nodes of `_k_nodes` under each column of the
+    weights wk (K, C), coupling factored out; a (C, N_x, N_p) array.
 
     Every (p, k) column enters the (M, N_p) sum from the q-lattice tables
     on the full time window (module docstring), the gain's through the
-    rank-R factors of the coefficients as an (N_p, M, R) sum.  The sum runs
-    over every chunk and branch and is projected onto x once; the mode
+    rank-R factors of the coefficients as an (N_p, M, R C) sum.  The sum
+    runs over every chunk and branch and is projected onto x once; the mode
     period is wrap-free, so no window clips.
     """
     d = params.d
     m = params.m_s
     npts = P.shape[0]
     M, L = modes.coef.shape
+    ncol = wk.shape[1]
 
     omega = np.sqrt(np.sum(k**2, axis=-1) + params.m_e**2)
     branches = _thermal_branches(omega, params)
@@ -503,28 +504,27 @@ def _diagram_core(term, modes, X, P, dp, params, t, k, wk):
     sp_phase = np.exp(1j * (modes.s @ P.T))                  # (L, Np)
 
     if term == "gain":
-        # gq = A G with G = B e^{is.(p+k)}: acc[p, j, r] sums I G ww over k,
-        # and A contracts it once at the end
+        # gq = A G with G = B e^{is.(p+k)}: acc[p, j, (r, c)] sums I G ww
+        # over k, and A contracts it once at the end
         a_fac, b_fac = _rank_factors(modes.coef)
         rank = b_fac.shape[0]
         bs_phase = b_fac[:, None, :] * sp_phase.T[None]      # (R, Np, L)
-        acc = np.zeros((npts, M, rank), dtype=complex)
+        acc = np.zeros((npts, M, rank * ncol), dtype=complex)
         weight = up_phase
     else:
         rank = 0
-        acc = np.zeros((M, npts), dtype=complex)
+        acc = np.zeros((ncol, M, npts), dtype=complex)
         weight = up_phase * (modes.coef @ sp_phase) * _in_q_box(modes, P)[None, :]
 
-    # chunk k so its tensors stay bounded: per k node the gain's (Np, M) I
-    # and its second gather and (R, Np) G, G ww and its transposed copy, and
-    # the (Nq,) tables
-    chunk = chunk_len(16 * max(npts * (2 * M + 3 * rank), 6 * qv.shape[0]))
+    # chunk k so its tensors stay bounded: per k node the gain's (Np, M) I and its
+    # second gather, (R, Np) G, (R, Np, C) G ww and its copy, and the (Nq,) tables
+    chunk = chunk_len(16 * max(npts * (2 * M + rank * (1 + 2 * ncol)), 6 * qv.shape[0]))
     for k0 in range(0, k.shape[0], chunk):
         sl = slice(k0, k0 + chunk)
         kc, wc, om = k[sl], wk[sl], omega[sl]
         kk2 = np.sum(kc**2, axis=-1) / (2.0 * m)
         qk = (qv @ kc.T) / m                                 # (Nq, K)
-        meas = wc / ((2.0 * np.pi) ** d * 2.0 * om)
+        meas = wc / ((2.0 * np.pi) ** d * 2.0 * om)[:, None]
 
         if term == "gain":
             sk_phase = np.exp(1j * (modes.s @ kc.T))         # (L, K)
@@ -532,19 +532,20 @@ def _diagram_core(term, modes, X, P, dp, params, t, k, wk):
             g_tab *= _in_q_box(modes, P[:, None, :] + kc[None, :, :])[None]
 
         for sgn, wgt_full in branches:
-            ww = meas * (wgt_full[sl] if np.ndim(wgt_full) else wgt_full)
+            ww = meas * wgt_full[sl, None]                   # (K, C)
             if term == "gain":
                 b = sgn * om[None, :] - qk - kk2[None, :]     # b1(q); b2(q-) = -b(q-)
                 e1 = _e0(b, t)
                 i_full = e1[iqp.T]                            # (Np, M, K)
                 i_full *= np.conj(e1)[iqm.T]
-                acc += i_full @ (g_tab * ww).transpose(1, 2, 0)
+                g_ww = (g_tab[..., None] * ww).transpose(1, 2, 0, 3)
+                acc += i_full @ g_ww.reshape(npts, len(kc), rank * ncol)
             else:
                 b = qk - kk2[None, :] - sgn * om[None, :]     # B(q)
-                acc += (_f(b, t) @ ww)[iqp]
+                acc += (_f(b, t) @ ww).T[:, iqp]
 
     if term == "gain":
-        acc = np.einsum("pjr,jr->jp", acc, a_fac)
+        acc = np.einsum("pjrc,jr->cjp", acc.reshape(npts, M, rank, ncol), a_fac)
     return ux_phase.T @ (weight * acc)
 
 
@@ -563,17 +564,19 @@ def _resolve_modes(w0, params, t, quad):
     return build_modes(w0, x_reach=reach)
 
 
-def _second_order(w0, params, t, quad, workers=1,
-                  terms=("gain", "loss_left", "loss_right")):
+def _second_order(w0, params, t, quad, workers=1, terms=TERMS):
     """{term: (complex values, quadrature report)} of the O(g^2) terms asked
-    for, from one plan per time step: one mode rep, two k rules from the
-    output grid (full, and half for the error estimate), and per evaluated
-    term three independent `_diagram_core` passes: the output grid at either
-    rule and the trace row at the full rule.  `workers` threads run the
-    passes (six for all terms) in pass order, bitwise the same at any count.
-    loss_right is conj(loss_left) with a copy of its report, so asking for
-    loss_right evaluates (and returns) loss_left too.
+    for (an unknown name is rejected first), from one plan per time step:
+    one mode rep, one k rule from the output grid, and per evaluated term
+    two independent `_diagram_core` passes: the output grid under both
+    weight columns (Kronrod and Gauss) and the trace row under the Kronrod
+    column.  `workers` threads run the passes (four for all terms) in pass
+    order, bitwise the same at any count.  loss_right is conj(loss_left)
+    with a copy of its report, so asking for it evaluates loss_left too.
     """
+    for term in terms:
+        if term not in TERMS:
+            raise ValueError(f"unknown term {term!r}: the terms are {', '.join(TERMS)}")
     if t < 0.0:
         raise ValueError("t must be >= 0")
     grid = w0.grid
@@ -583,14 +586,12 @@ def _second_order(w0, params, t, quad, workers=1,
     evaluated = [term for term in ("gain", "loss_left")
                  if term in terms or (term == "loss_left" and "loss_right" in terms)]
     if t == 0.0:
-        zero = np.zeros((grid.n_x**d, grid.n_x**d), dtype=complex)
-        results, panels, x_period = [zero] * (3 * len(evaluated)), 0, 0.0
+        zero = np.zeros((2, grid.n_x**d, grid.n_x**d), dtype=complex)
+        results, panels, n_nodes, x_period = [zero] * (2 * len(evaluated)), 0, 0, 0.0
     else:
         modes = _resolve_modes(w0, params, t, quad)
         X, P = (_tensor_points([v] * d) for v in (grid.x_nodes, grid.p_nodes))
-        p_scale = float(np.max(np.abs(grid.p_nodes)))
-        full, half = (_k_nodes(params, quad, t, modes.u_max, p_scale, h)
-                      for h in (False, True))
+        k, wk, panels = _k_nodes(params, quad, t, modes.u_max, float(np.max(np.abs(P))))
         # the trace: the u = 0 row at one x node, on the lattice dp over the
         # momentum box, widened by the k reach for the gain
         j0 = int(np.argmin(np.sum(np.abs(modes.u), axis=-1)))
@@ -603,27 +604,26 @@ def _second_order(w0, params, t, quad, workers=1,
             p_row = _tensor_points([dp * np.arange(np.ceil((lo - reach) / dp),
                                                    np.floor((hi + reach) / dp) + 1)
                                     for lo, hi in modes.q_box])
-            passes += [(term, modes, X, P, full), (term, modes, X, P, half),
-                       (term, row, np.zeros((1, d)), p_row, full)]
+            passes += [(term, modes, X, P, wk), (term, row, np.zeros((1, d)), p_row, wk[:, :1])]
 
         def run(job):
-            term, mds, xs, ps, (k, wk, _) = job
-            return _diagram_core(term, mds, xs, ps, dp, params, t, k, wk)
+            term, mds, xs, ps, w = job
+            return _diagram_core(term, mds, xs, ps, dp, params, t, k, w)
 
         with ThreadPoolExecutor(max_workers=min(workers, len(passes))) as ex:
             results = list((ex.map if workers > 1 else map)(run, passes))
-        panels, x_period = full[2], np.prod(modes.x_box[:, 1] - modes.x_box[:, 0])
+        n_nodes, x_period = k.shape[0], np.prod(modes.x_box[:, 1] - modes.x_box[:, 0])
 
     cell = grid.cell_volume
     out = {}
     for i, term in enumerate(evaluated):
-        vals, vals_h, per_p = results[3 * i:3 * i + 3]
-        err = float(np.sum(np.abs(vals - vals_h)) * cell)
+        (vals, vals_g), per_p = results[2 * i], results[2 * i + 1][0]
+        err = float(np.sum(np.abs(vals - vals_g)) * cell)
         norm1 = float(np.sum(np.abs(vals)) * cell)
         rel = err / norm1 if norm1 > 0 else 0.0
         out[term] = (vals.reshape(grid.value_shape()), {
-            "term": term, "panels": panels, "err_est": err, "rel_err_est": rel,
-            "converged": bool(norm1 == 0.0 or rel <= quad.rel_tol),
+            "term": term, "panels": panels, "k_nodes": n_nodes, "err_est": err,
+            "rel_err_est": rel, "converged": bool(norm1 == 0.0 or rel <= quad.rel_tol),
             "max_imag": float(np.max(np.abs(vals.imag))),
             "trace": float(np.sum(per_p.real) * x_period * dp**d),
             "time_integration": "exact"})
@@ -737,7 +737,7 @@ def evolve(w0, params, t, quad=None, backend="auto", workers=1):
     the same k nodes (module docstring: what it checks and what it misses);
     `trace_defect_window` is the correction's sum over the output grid.
 
-    The terms come from `_second_order`: gain and loss_left as six
+    The terms come from `_second_order`: gain and loss_left as four
     independent passes run by `workers` threads (bitwise the same at any
     count), and loss_right = conj(loss_left) with a copy of its report; so
     `max_imag_residue` checks only the gain.
@@ -754,8 +754,7 @@ def evolve(w0, params, t, quad=None, backend="auto", workers=1):
     zeroth = zeroth_closed if isinstance(w0.source, InitialStateSpec) else evolve_zeroth
     w_zeroth = zeroth(w0, params, t)
     terms = _second_order(w0, params, t, quad, workers)
-    (gain_c, rep_g), (loss_l_c, rep_ll), (loss_r_c, _) = (
-        terms[term] for term in ("gain", "loss_left", "loss_right"))
+    (gain_c, rep_g), (loss_l_c, rep_ll), (loss_r_c, _) = (terms[term] for term in TERMS)
     gain, loss_l, loss_r = gain_c.real, loss_l_c.real, loss_r_c.real
 
     g2 = params.g**2

@@ -645,7 +645,9 @@ def certify_instance(w0, params, t, probes, quad, terms=("gain", "loss_left",
     Emits a JSON-ready record with the instance description, both values,
     self-declared error estimates, and per-probe/per-term pass flags; each
     term's "fast_report" is its quadrature report, phase-space "trace"
-    included (see `evolution._second_order`).  A probe passes when the
+    included (see `evolution._second_order`), and the instance's "quad"
+    names n_k, k_max and the node count of the fast path's one k rule
+    ("k_nodes", after the ball mask).  A probe passes when the
     relative difference is within _CERTIFY_REL_TOL or within the fast
     term's rel_err_est plus the oracle's error estimate.
 
@@ -681,6 +683,8 @@ def certify_instance(w0, params, t, probes, quad, terms=("gain", "loss_left",
     }
     start = time.time()
     second = _second_order(_fast_input(w0, backend), params, t, quad, terms=terms)
+    record["instance"]["quad"]["k_nodes"] = max(
+        (rep["k_nodes"] for _, rep in second.values()), default=0)
     for term in terms:
         fast, rep = second[term]
         fvals = np.array([fast[i, j] for i, j in zip(ix, ip)])

@@ -126,6 +126,53 @@ def legendre_rule(n):
     return base_x, base_w
 
 
+@lru_cache(maxsize=None)
+def kronrod_rule(n):
+    """Gauss-Kronrod pair of order n on [-1, 1], built once: the 2n + 1
+    nodes, ascending, and a (2n + 1, 2) weight matrix whose columns are the
+    Kronrod weights and the embedded Gauss weights (zero at the n + 1
+    Kronrod nodes).  The Gauss nodes are `legendre_rule(n)`'s, bitwise.
+
+    Laurie's algorithm (Math. Comp. 66, 1133 (1997)) extends the Legendre
+    recurrence to the Kronrod-Jacobi matrix; its diagonal stays zero for a
+    symmetric weight, so only the squared off-diagonals b are carried.  One
+    symmetric eigensolve gives the nodes and, from the first eigenvector
+    components, the weights (Golub-Welsch).  The arrays are shared between
+    callers, so they are read-only.
+    """
+    size = 2 * n + 1
+    b = [2.0] + [k * k / (4.0 * k * k - 1.0) for k in range(1, (3 * n + 1) // 2 + 1)]
+    b += [0.0] * (size - len(b))
+    s, t = [0.0] * (n // 2 + 2), [0.0] * (n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        u = 0.0
+        for k in range((m + 1) // 2, -1, -1):
+            u += b[k + n + 1] * s[k] - b[m - k] * s[k + 1]
+            s[k + 1] = u
+        s, t = t, s
+    s[1:] = s[:-1]
+    for m in range(n - 1, 2 * n - 2):
+        u = 0.0
+        for k in range(m + 1 - n, (m - 1) // 2 + 1):
+            j = n - 1 - (m - k)
+            u += b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1]
+            s[j + 1] = u
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    off = np.sqrt(b[1:])
+    nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    weights = np.zeros((size, 2))
+    weights[:, 0] = b[0] * vecs[0] ** 2
+    weights[:, 0] = 0.5 * (weights[:, 0] + weights[::-1, 0])
+    nodes[0::2] = 0.5 * (nodes[0::2] - nodes[-1::-2])
+    nodes[1::2], weights[1::2, 1] = legendre_rule(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def gauss_panels(lo, hi, n_nodes, n_panels):
     """Composite Gauss-Legendre nodes/weights on [lo, hi]: n_nodes on each
     of n_panels equal panels.

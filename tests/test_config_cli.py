@@ -88,8 +88,19 @@ def test_every_key_is_documented():
 
 
 def test_cli_does_not_import_scipy_integrate():
-    # only the oracle's quadratures use it, and they import it when called
-    code = ("import sys, wignerbath.cli, wignerbath.runio; "
+    # only the oracle's quadratures use it, and they import it when called;
+    # a small second-order step shows the Gauss-Kronrod table does not
+    # come from scipy's either
+    code = ("import sys, wignerbath.cli, wignerbath.runio\n"
+            "from wignerbath import (InitialStateSpec, ModelParams, QuadratureSpec,\n"
+            "                        make_initial_wigner)\n"
+            "from wignerbath.evolution import _second_order\n"
+            "from wignerbath.states import balanced_grid\n"
+            "spec = InitialStateSpec(kind='gaussian', x0=(0.0,), p0=(0.0,), sigma=1.0)\n"
+            "w0 = make_initial_wigner(spec, balanced_grid(spec, 16), boundary_tol=1e-4)\n"
+            "params = ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=6.0)\n"
+            "terms = _second_order(w0, params, 0.1, QuadratureSpec(n_k=16, k_max=6.0))\n"
+            "assert terms['gain'][1]['k_nodes'] > 0\n"
             "print('scipy.integrate' in sys.modules)")
     src = os.path.dirname(os.path.dirname(config_module.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -122,6 +133,29 @@ def test_bad_numbers_are_rejected_by_name(tmp_path, key, value):
     if key.startswith("quad."):
         with pytest.raises(ValueError, match="finite"):
             QuadratureSpec(**{key.split(".")[1]: float(value)})
+
+
+@pytest.mark.parametrize("n_k", (15, 65, 100_000))
+def test_n_k_out_of_range_is_rejected_by_name(tmp_path, monkeypatch, n_k):
+    """quad.n_k outside [16, 64] is rejected by QuadratureSpec, named, as the
+    one error of the aggregated ConfigError, and the CLI exits with status
+    2; no Gauss rule is built on the way (leggauss refuses here)."""
+    def refuse(*args):
+        raise AssertionError("a k rule was built")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    message = f"n_k must be in [16, 64], got {n_k}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        QuadratureSpec(n_k=n_k)
+    text = MINIMAL.format(out=tmp_path / "out") + f"quad.n_k = {n_k}\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.errors == [f"quad: {message}"]
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    assert main(["evolve", "--config", str(cfg_path)]) == 2
+    for edge in (16, 64):
+        assert QuadratureSpec(n_k=edge).n_k == edge
 
 
 def test_overrides(tmp_path):

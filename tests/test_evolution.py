@@ -400,14 +400,15 @@ def test_small_time_quadratic_scaling(tiny_instance):
         assert r2 == pytest.approx(4.0, rel=0.05)
 
 
-def _core_on_grid(term, modes, grid, params, t, quad):
-    """`_diagram_core` at the grid's nodes by the full k rule of the grid, as
-    `_second_order` takes it, in the grid's value shape."""
+def _core_on_grid(term, modes, grid, params, t, quad, column=0):
+    """`_diagram_core` at the grid's nodes by the k rule of the grid, as
+    `_second_order` takes it, under one weight column (0: Kronrod, the
+    reported value; 1: the embedded Gauss rule), in the grid's value shape."""
     X, P = (_tensor_points([v] * grid.d) for v in (grid.x_nodes, grid.p_nodes))
     k, wk, _ = evolution._k_nodes(params, quad, t, modes.u_max,
                                   float(np.max(np.abs(grid.p_nodes))))
-    return _diagram_core(term, modes, X, P, grid.dp, params, t, k, wk).reshape(
-        grid.value_shape())
+    return _diagram_core(term, modes, X, P, grid.dp, params, t, k,
+                         wk[:, column:column + 1])[0].reshape(grid.value_shape())
 
 
 def _support_half_width(w0):
@@ -435,6 +436,7 @@ def _direct_core(term, modes, grid, params, t, quad, support):
     u = modes.u[:, 0]
     k, wk, _ = evolution._k_nodes(params, quad, t, modes.u_max,
                                   float(np.max(np.abs(p))))
+    wk = wk[:, 0]                                                      # Kronrod
     omega = np.sqrt(np.sum(k**2, axis=-1) + params.m_e**2)
     dom_hi = 2.0 * t if term == "gain" else t
     slopes = (-1.0 if term == "gain" else 1.0) * k[:, 0] / (2.0 * m)
@@ -646,9 +648,9 @@ def test_quadrature_convergence_report(gentle_instance):
 
 
 def test_error_estimate_below_the_panel_floor(tiny_instance):
-    """At t = 0.01 the full run sits on the 2-panel floor; the half-panel
-    estimate must still come from fewer panels, so it is nonzero and bounds
-    the change that doubling n_k makes."""
+    """At t = 0.01 the k rule sits on its 2-panel floor; the embedded Gauss
+    rule there is still a lower-order rule than the Kronrod one, so the
+    estimate is nonzero and bounds the change that doubling n_k makes."""
     w0, params, quad = (tiny_instance[k] for k in ("w0", "params", "quad"))
     fine = QuadratureSpec(n_k=2 * quad.n_k, k_max=quad.k_max,
                           rel_tol=quad.rel_tol)
@@ -664,11 +666,14 @@ def test_error_estimate_below_the_panel_floor(tiny_instance):
 
 
 def test_error_estimate_tracks_the_error_on_an_even_half_run(gauss_spec, monkeypatch):
-    """n_x = 64, lambda = 20, t = 0.25: the full run takes 9 panels and the
-    half run 6 (5 before rounding to even, which put k = 0, next to the
-    branch points of 1/w at +-i m_e, at a panel's centre and made the
-    estimate 1.5e4 times the error).  Both terms converge, and each err_est
-    is within 0.5-10 times the term's change against 8 times the panels."""
+    """n_x = 64, lambda = 20, t = 0.25: the k rule takes 6 Gauss-Kronrod
+    panels, an even count, so that k = 0, next to the branch points of 1/w
+    at +-i m_e, is a panel edge (an odd 5 put it at a panel's centre and made
+    a Gauss estimate 1.5e4 times the error).  Both terms converge; each
+    err_est is within 0.5-10 times the change of the embedded Gauss rule
+    against 8 times the panels, and bounds the reported (Kronrod) value's
+    change, which is far smaller (gain: 2.2e-15 relative against a
+    rel_err_est of 5.2e-11; a 9-panel Gauss value was 8.0e-10 off)."""
     grid = balanced_grid(gauss_spec, 64)
     w0 = make_initial_wigner(gauss_spec, grid, boundary_tol=1e-7)
     params = ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=20.0)
@@ -678,13 +683,17 @@ def test_error_estimate_tracks_the_error_on_an_even_half_run(gauss_spec, monkeyp
     terms = _second_order(w0, params, t, quad)
     for term in ("gain", "loss_left"):
         vals, rep = terms[term]
-        assert rep["panels"] == 9
+        assert rep["panels"] == 6
+        assert rep["k_nodes"] == 6 * (2 * quad.n_k + 1)
         assert rep["converged"]
+        gauss = _core_on_grid(term, modes, grid, params, t, quad, column=1)
         with monkeypatch.context() as patch:
             patch.setattr(evolution, "PHASE_PER_PANEL", evolution.PHASE_PER_PANEL / 8.0)
             fine = _core_on_grid(term, modes, grid, params, t, quad)
-        change = float(np.sum(np.abs(vals - fine)) * grid.cell_volume)
-        assert 0.5 * change <= rep["err_est"] <= 10.0 * change, term
+        change_gauss, change = (float(np.sum(np.abs(v - fine)) * grid.cell_volume)
+                                for v in (gauss, vals))
+        assert 0.5 * change_gauss <= rep["err_est"] <= 10.0 * change_gauss, term
+        assert change <= rep["err_est"], term
 
 
 @pytest.mark.parametrize("term", ("gain", "loss_left"))
@@ -791,8 +800,8 @@ def test_evolve_diagnostics(gentle_instance):
 
 def test_workers_bit_identical(gentle_instance):
     """Every term's values and report are bitwise the same at 1, 2, 6 and 7
-    workers (7 exceeds the six passes of a time step), on the closed and the
-    grid path, and so is W."""
+    workers (6 and 7 exceed the four passes of a time step), on the closed
+    and the grid path, and so is W."""
     w0, params, t, quad = (gentle_instance[k] for k in
                            ("w0", "params", "t", "quad"))
     for path in ("closed", "grid"):
@@ -811,8 +820,9 @@ def test_workers_bit_identical(gentle_instance):
                                                (("loss_right",), ("loss_left",))])
 def test_second_order_evaluates_only_the_terms_asked_for(gentle_instance, monkeypatch,
                                                           terms, evaluated):
-    """A subset of the terms runs only its own three passes and reads
-    bitwise as in the full call; loss_right brings loss_left with it."""
+    """A subset of the terms runs only its own two passes (output grid and
+    trace row) and reads bitwise as in the full call; loss_right brings
+    loss_left with it."""
     w0, params, t, quad = (gentle_instance[k] for k in
                            ("w0", "params", "t", "quad"))
     full = _second_order(w0, params, t, quad)
@@ -820,10 +830,26 @@ def test_second_order_evaluates_only_the_terms_asked_for(gentle_instance, monkey
     monkeypatch.setattr(evolution, "_diagram_core",
                         lambda term, *args: calls.append(term) or core(term, *args))
     got = _second_order(w0, params, t, quad, terms=terms)
-    assert calls == [evaluated[0]] * 3
+    assert calls == [evaluated[0]] * 2
     assert set(got) == set(terms) | set(evaluated)
     for term, (vals, rep) in got.items():
         assert np.array_equal(vals, full[term][0]) and rep == full[term][1], term
+
+
+def test_second_order_rejects_an_unknown_term(gentle_instance, monkeypatch):
+    """A misspelt term is rejected by name, with the valid ones, before the
+    mode rep is built, at t > 0 and at t = 0 (which used to return {})."""
+    w0, params, t, quad = (gentle_instance[k] for k in
+                           ("w0", "params", "t", "quad"))
+
+    def refuse(*args):
+        raise AssertionError("the mode rep was built")
+
+    monkeypatch.setattr(evolution, "_resolve_modes", refuse)
+    for time in (t, 0.0):
+        with pytest.raises(ValueError, match="unknown term 'gian': the terms are "
+                                             "gain, loss_left, loss_right"):
+            _second_order(w0, params, time, quad, terms=("gain", "gian"))
 
 
 def test_thermal_branches_run(gentle_instance):

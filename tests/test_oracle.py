@@ -150,6 +150,8 @@ def test_certify_record_structure(gentle_instance):
                               terms=("gain",), backend="grid")
     assert record["all_passed"]
     assert record["terms"]["gain"]["passed"]
+    k_nodes = record["instance"]["quad"]["k_nodes"]
+    assert k_nodes == record["terms"]["gain"]["fast_report"]["k_nodes"] > 0
     entry = record["terms"]["gain"]["probes"][0]
     assert {"probe", "fast", "oracle", "rel_diff", "status"} <= set(entry)
 
@@ -225,6 +227,23 @@ def test_certify_rejects_before_the_fast_path(gentle_instance, monkeypatch):
         certify_instance(w0, d3, t, probes, quad)
     with pytest.raises(ValueError, match="'closed' is retired"):
         certify_instance(w0, params, t, probes, quad, backend="closed")
+
+
+def test_certify_rejects_an_unknown_term(gentle_instance, monkeypatch):
+    """A misspelt term is rejected by name before the fast path builds its
+    modes and before the oracle runs."""
+    w0, params, t, quad, grid = (gentle_instance[k] for k in
+                                 ("w0", "params", "t", "quad", "grid"))
+    probes = default_probes(grid, params, t)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(evolution, "_resolve_modes", refuse)
+    monkeypatch.setattr(oracle, "oracle_diagram", refuse)
+    with pytest.raises(ValueError, match="unknown term 'gian': the terms are "
+                                         "gain, loss_left, loss_right"):
+        certify_instance(w0, params, t, probes, quad, terms=("gian",))
 
 
 def _warm_cat():

@@ -6,7 +6,7 @@ from scipy.special import k0
 from wignerbath import (ModelParams, SpacetimePoint, sys_feynman, sys_dyson,
                         env_wightman, env_feynman, env_dyson)
 from wignerbath import propagators
-from wignerbath.propagators import wightman_amp, gauss_panels, legendre_rule
+from wignerbath.propagators import wightman_amp, gauss_panels, kronrod_rule, legendre_rule
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +214,53 @@ def test_gauss_panels_cache_cannot_be_corrupted():
     assert np.array_equal(again_nodes, ref_nodes)
     assert np.array_equal(again_weights, ref_weights)
     for base in legendre_rule(24):
+        with pytest.raises(ValueError, match="read-only"):
+            base[0] = 0.0
+
+
+def _kronrod_by_stieltjes(n):
+    """The Gauss-Kronrod pair of order n built independently of Laurie's
+    algorithm: the Stieltjes polynomial E = P_{n+1} + sum_{j<=n} c_j P_j is
+    orthogonal to P_n P_i, i <= n (a Gram solve in the Legendre basis, the
+    products integrated exactly by a 2n + 4 point Gauss rule); its roots are
+    the Kronrod nodes, and the weights of all 2n + 1 nodes solve the
+    Legendre-Vandermonde moment equations up to degree 2n."""
+    leg = np.polynomial.legendre
+    xq, wq = leg.leggauss(2 * n + 4)
+    vq = leg.legvander(xq, n + 1)
+    gram = np.einsum("q,qi,q,qj->ij", wq, vq[:, :n + 1], vq[:, n], vq)
+    c = np.append(np.linalg.solve(gram[:, :n + 1], -gram[:, n + 1]), 1.0)
+    nodes = np.sort(np.concatenate([leg.leggauss(n)[0], leg.legroots(c).real]))
+    moments = np.zeros(2 * n + 1)
+    moments[0] = 2.0
+    return nodes, np.linalg.solve(leg.legvander(nodes, 2 * n).T, moments)
+
+
+@pytest.mark.parametrize("n", (16, 24, 25, 48))
+def test_kronrod_rule(n):
+    """The Kronrod column integrates P_0 .. P_{3n+1} and the Gauss column
+    P_0 .. P_{2n-1} to 1e-14; the Gauss column lives on `legendre_rule(n)`'s
+    nodes, bitwise, and the n + 1 Kronrod nodes interlace them inside
+    (-1, 1) with positive weights; nodes and Kronrod weights agree with the
+    independent Stieltjes construction to 1e-14; the cached arrays are
+    read-only."""
+    nodes, weights = kronrod_rule(n)
+    assert nodes.shape == (2 * n + 1,) and weights.shape == (2 * n + 1, 2)
+    vander = np.polynomial.legendre.legvander(nodes, 3 * n + 1)
+    for column, degree in ((0, 3 * n + 1), (1, 2 * n - 1)):
+        moments = vander[:, :degree + 1].T @ weights[:, column]
+        moments[0] -= 2.0
+        assert np.max(np.abs(moments)) <= 1e-14, column
+    gauss_x, gauss_w = legendre_rule(n)
+    assert np.array_equal(nodes[1::2], gauss_x)
+    assert np.array_equal(weights[1::2, 1], gauss_w)
+    assert np.all(weights[0::2, 1] == 0.0)
+    assert -1.0 < nodes[0] and nodes[-1] < 1.0 and np.all(np.diff(nodes) > 0.0)
+    assert np.all(weights[:, 0] > 0.0)
+    ref_nodes, ref_weights = _kronrod_by_stieltjes(n)
+    assert np.max(np.abs(nodes - ref_nodes)) <= 1e-14
+    assert np.max(np.abs(weights[:, 0] - ref_weights)) <= 1e-14
+    for base in kronrod_rule(n):
         with pytest.raises(ValueError, match="read-only"):
             base[0] = 0.0
 
