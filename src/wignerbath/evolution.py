@@ -263,6 +263,8 @@ class QuadratureSpec:
     rel_tol: float = 1e-6
 
     def __post_init__(self):
+        if not isinstance(self.n_k, (int, np.integer)):
+            raise ValueError(f"n_k must be an integer, got {self.n_k!r}")
         if not 16 <= self.n_k <= 64:
             raise ValueError(f"n_k must be in [16, 64], got {self.n_k}")
         if not (math.isfinite(self.k_max) and self.k_max >= 0.0):

@@ -18,6 +18,13 @@ momentum-space reduction that powers the production path:
     substitution tau = lambda^2 that removes the |t1 - t2|^{-1/2} Fresnel
     ridge of the integrand.
 
+The k rule is sized per tau from its integrand (`_k_panels`): Gauss panels
+as narrow as the closed form's phase chirp asks for, with k = 0 a panel
+edge and panels graded geometrically toward it on the scale of m_e, so
+that none is long next to the branch points of the bath's 1/w at
+k = +-i m_e.  The losses' symmetric range takes an even count, two at the
+least; on a light bath the grading keeps the rule converged.
+
 After the xi integral every integrand is a complex Gaussian in eta, so its
 eta integral is exact at each k.  The same-branch (loss) terms carry the
 internal particle line's nascent-delta Fresnel factor exp(+-i m eta^2 /
@@ -42,7 +49,8 @@ import time
 import numpy as np
 
 from .grids import PhaseSpaceGrid
-from .propagators import ModelParams, bose_occupation, chunk_len, gauss_panels
+from .propagators import (ModelParams, bose_occupation, chunk_len, gauss_panels,
+                          legendre_rule)
 from .states import InitialStateSpec
 from .wigner import signed_mode_numbers
 
@@ -56,6 +64,7 @@ _CERTIFY_REL_TOL = 1e-5     # probe agreement that passes whatever the estimates
 _RUNGS = ((12, 6), (20, 18), (28, 24))
 _LADDER_TOL = 1e-3 * _CERTIFY_REL_TOL   # two rungs that agree this well end it
 _ENVELOPE_NATS = 40.0       # the gain's k range: its envelope down by e^-40
+_GRADE = 6.0                # k panel edges at 0 and +-m_e _GRADE^j, j >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +474,37 @@ def _gain_k_window(h2, h1, lam_uv):
     return np.where(full, -lam_uv, lo), np.where(full, lam_uv, hi)
 
 
+def _k_panels(k_lo, k_hi, width, m_e):
+    """Per tau, the k panels of the spectral sum over [k_lo, k_hi].
+
+    The edges are the window's ends, k = 0 if inside it, and the graded
+    breaks +-m_e _GRADE^j (j >= 1) inside it that lie closer to 0 than the
+    chirp rule's `width` (per tau); each piece is then cut into equal
+    panels no wider than `width`.  So the panels are graded geometrically
+    toward k = 0 where the chirp panels alone would be too wide, and each
+    is at most _GRADE times as long as its distance from the branch points
+    of 1/w at k = +-i m_e (from m_e for a panel that ends at 0).  On a
+    symmetric window the count is even.  Returns (mid, half, count): every
+    panel's centre and half length, tau after tau, and each tau's panel
+    count.
+    """
+    reach = max(np.max(np.abs(k_lo)), np.max(np.abs(k_hi)))
+    grade = m_e * _GRADE ** np.arange(1, np.log(reach / m_e) / np.log(_GRADE) + 1)
+    breaks = np.concatenate([-grade[::-1], [0.0], grade])
+    # a graded break that the chirp panels would not pass adds nothing
+    breaks = np.where(np.abs(breaks) < width[:, None], breaks, np.copysign(np.inf, breaks))
+    edges = np.concatenate([k_lo[:, None],
+                            np.clip(breaks, k_lo[:, None], k_hi[:, None]),
+                            k_hi[:, None]], axis=1)
+    seg = np.diff(edges, axis=1)                 # zero outside the window
+    cuts = np.ceil(seg / width[:, None]).astype(int).ravel()
+    owner = np.repeat(np.arange(cuts.size), cuts)
+    sub = np.arange(owner.size) - (np.cumsum(cuts) - cuts)[owner]
+    length = (seg.ravel() / np.maximum(cuts, 1))[owner]
+    mid = edges[:, :-1].ravel()[owner] + (sub + 0.5) * length
+    return mid, 0.5 * length, cuts.reshape(seg.shape).sum(axis=1)
+
+
 def _spectral_sum(tau, jac, wt, h2, h1, h0, k_lo, k_hi, params, n_per):
     """Time and spectral sums of one component over all tau nodes.
 
@@ -473,22 +513,35 @@ def _spectral_sum(tau, jac, wt, h2, h1, h0, k_lo, k_hi, params, n_per):
     eta-quadratic.  The eta integral is closed per spectral node k,
 
         Int deta exp(h2 eta^2 + (h1 + ik) eta + h0)
-            = sqrt(-pi/h2) exp(h0 - (h1 + ik)^2/(4 h2)),
+            = sqrt(-pi/h2) exp(h0 - c h1^2 - 2i c h1 k + c k^2),  c = 1/(4 h2),
 
     against the bath weight [(1 + n) e^{i w tau} + n e^{-i w tau}]/(2 pi 2 w)
-    at the signed tau, over [k_lo, k_hi] per tau.  Each tau's panel count
-    follows the phase rates of the closed form over its k range (a quadratic
-    chirp), which steepen near the time-node corners.  Taus that share a
-    panel count are evaluated together, in chunks, each built in place in
-    one buffer for all chunks, so the heap is not refaulted.
+    at the signed tau, over [k_lo, k_hi] per tau.  The exponent's three
+    coefficients and sqrt(-pi/h2) are built once per (tau, time node), so
+    the (tau, time node, k) array takes one Horner pass and one exp.
+
+    The k rule (`_k_panels`) follows the integrand: panels no wider than
+    the phase rates of the closed form ask for over the tau's k range (a
+    quadratic chirp, which steepens near the time-node corners; 1.1 rad of
+    phase per node), with edges at k = 0 and graded toward it on the scale
+    of m_e, where 1/w varies fastest.  Taus that share a panel count are
+    evaluated together, in chunks, each built in place in one buffer for
+    all chunks, so the heap is not refaulted.
     """
     n_inner = wt.shape[1]
+    c = 1.0 / (4.0 * h2)
+    lin = -2j * c * h1
+    const = h0 - c * h1 * h1
+    wt = wt * np.sqrt(-np.pi / h2[..., 0])
     rate_lin = np.max(np.abs(h1 / (2.0 * h2)), axis=(1, 2))
-    rate_quad = np.max(np.abs(1.0 / (4.0 * h2)), axis=(1, 2))
+    rate_quad = np.max(np.abs(c), axis=(1, 2))
     # quadratic chirp: budget panels for the edge-local frequency
     local_rate = 2.0 * np.maximum(np.abs(k_lo), np.abs(k_hi)) * rate_quad + rate_lin
     phase = (k_hi - k_lo) * local_rate + 2.0 * np.pi
-    panels = np.maximum(4, np.ceil(phase / (1.1 * n_per)).astype(int))
+    mid, half, panels = _k_panels(k_lo, k_hi, (k_hi - k_lo) * 1.1 * n_per / phase,
+                                  params.m_e)
+    first = np.cumsum(panels) - panels
+    base_x, base_w = legendre_rule(n_per)
 
     total = 0.0 + 0.0j
     buf = np.empty(0, dtype=complex)
@@ -498,7 +551,9 @@ def _spectral_sum(tau, jac, wt, h2, h1, h0, k_lo, k_hi, params, n_per):
         step = chunk_len(16 * n_inner * n_k)
         for i in range(0, group.size, step):
             b = group[i:i + step]
-            kq, kw = gauss_panels(k_lo[b], k_hi[b], n_per, int(count))
+            rows = first[b, None] + np.arange(count)
+            kq = (mid[rows, None] + half[rows, None] * base_x).reshape(len(b), n_k)
+            kw = (half[rows, None] * base_w).reshape(len(b), n_k)
             omega = np.sqrt(kq**2 + params.m_e**2)
             occ = bose_occupation(omega, params.t_env)
             fwd = np.exp(1j * omega * tau[b, None])
@@ -507,12 +562,12 @@ def _spectral_sum(tau, jac, wt, h2, h1, h0, k_lo, k_hi, params, n_per):
             size = len(b) * n_inner * n_k
             buf = buf if buf.size >= size else np.empty(size, dtype=complex)
             val = buf[:size].reshape(len(b), n_inner, n_k)
-            np.add(h1[b], 1j * kq[:, None, :], out=val)
-            val *= val
-            val /= 4.0 * h2[b]
-            np.subtract(h0[b], val, out=val)
+            k3 = kq[:, None, :]
+            np.multiply(c[b], k3, out=val)
+            val += lin[b]
+            val *= k3
+            val += const[b]
             np.exp(val, out=val)
-            val *= np.sqrt(-np.pi / h2[b])
             per_t = (val @ meas[..., None])[..., 0]
             total += jac[b] @ np.sum(wt[b] * per_t, axis=1)
     return total
@@ -534,11 +589,12 @@ def oracle_diagram(term_id, w0, params, t, probes, n_lambda=28, n_inner=24,
     evaluated as arrays, not one by one, through `_spectral_sum`: each
     keeps its own n_inner-node time rule (on [|tau|/2, t - |tau|/2] for the
     gain's mean time, on [0, t - tau] for the losses' earlier vertex) and
-    its own k range and spectral panel count (nodes are grouped by count,
-    never padded).  Each group runs in chunks whose largest complex array,
-    (taus, time nodes, k nodes), stays within the chunk budget
-    (`propagators.chunk_len`) unless one node alone exceeds it; the
-    batching changes only the summation order.
+    its own k range and k panels (graded toward k = 0 on the scale of m_e,
+    and as narrow as the phase chirp asks for: `_k_panels`; nodes are
+    grouped by panel count, never padded).  Each group runs in chunks whose
+    largest complex array, (taus, time nodes, k nodes), stays within the
+    chunk budget (`propagators.chunk_len`) unless one node alone exceeds
+    it; the batching changes only the summation order.
     """
     if term_id not in ("zeroth", "gain", "loss_left", "loss_right"):
         raise ValueError(f"unknown term {term_id!r}")

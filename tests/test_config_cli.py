@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wignerbath import QuadratureSpec
 from wignerbath import config as config_module
@@ -158,6 +159,20 @@ def test_n_k_out_of_range_is_rejected_by_name(tmp_path, monkeypatch, n_k):
         assert QuadratureSpec(n_k=edge).n_k == edge
 
 
+@pytest.mark.parametrize("n_k", (24.5, 24.0, "24"))
+def test_non_integral_n_k_is_rejected_by_name(monkeypatch, n_k):
+    """A non-integral n_k through the API is rejected by QuadratureSpec, by
+    name, before any k rule is built (it used to construct and fail later,
+    inside the rule builder, with a TypeError)."""
+    def refuse(*args):
+        raise AssertionError("a k rule was built")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    with pytest.raises(ValueError, match=re.escape(f"n_k must be an integer, got {n_k!r}")):
+        QuadratureSpec(n_k=n_k)
+    assert QuadratureSpec(n_k=np.int64(32)).n_k == 32
+
+
 def test_overrides(tmp_path):
     cfg = parse_config(MINIMAL.format(out=tmp_path),
                        overrides={"g": "0.2", "mode": "observables"})
@@ -165,6 +180,69 @@ def test_overrides(tmp_path):
     assert cfg.mode == "observables"
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config(MINIMAL.format(out=tmp_path), overrides={"gg": "1"})
+
+
+# drawn values of a config and how to read each back from a RunConfig
+_DRAWN = {
+    "mode": st.sampled_from(("transform", "evolve", "observables")),
+    "n_x": st.integers(4, 32).map(lambda n: 2 * n),
+    "m_s": st.floats(0.5, 5.0),
+    "m_e": st.floats(0.1, 2.0),
+    "g": st.floats(0.0, 1.0),
+    "t_env": st.floats(0.0, 3.0),
+    "lambda_uv": st.floats(4.0, 60.0),
+    "state.kind": st.sampled_from(("gaussian", "cat")),
+    "state.x0": st.floats(-2.0, 2.0),
+    "state.p0": st.floats(-1.0, 1.0),
+    "state.sigma": st.floats(0.5, 2.0),
+    "state.separation": st.floats(0.5, 4.0),
+    "state.phase": st.floats(0.0, 3.0),
+    "times": st.lists(st.floats(0.0, 5.0), min_size=1, max_size=3,
+                      unique=True).map(lambda v: tuple(sorted(v))),
+    "quad.n_k": st.integers(16, 64),
+    "quad.k_max": st.floats(0.0, 4.0),
+    "quad.rel_tol": st.floats(1e-12, 1e-2),
+    "workers": st.integers(1, 8),
+    "backend": st.sampled_from(("auto", "grid")),
+    "boundary_tol": st.floats(1e-12, 1e-3),
+}
+_READ = {
+    "mode": lambda c: c.mode, "n_x": lambda c: c.grid.n_x,
+    "m_s": lambda c: c.model.m_s, "m_e": lambda c: c.model.m_e,
+    "g": lambda c: c.model.g, "t_env": lambda c: c.model.t_env,
+    "lambda_uv": lambda c: c.model.lambda_uv,
+    "state.kind": lambda c: c.initial.kind, "state.x0": lambda c: c.initial.x0[0],
+    "state.p0": lambda c: c.initial.p0[0], "state.sigma": lambda c: c.initial.sigma,
+    "state.separation": lambda c: c.initial.separation,
+    "state.phase": lambda c: c.initial.phase, "times": lambda c: tuple(c.times),
+    "quad.n_k": lambda c: c.quad.n_k, "quad.k_max": lambda c: c.quad.k_max,
+    "quad.rel_tol": lambda c: c.quad.rel_tol, "workers": lambda c: c.workers,
+    "backend": lambda c: c.backend, "boundary_tol": lambda c: c.boundary_tol,
+}
+
+
+def _render(value):
+    if isinstance(value, tuple):
+        return ", ".join(repr(v) for v in value)
+    return value if isinstance(value, str) else repr(value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=st.fixed_dictionaries({}, optional=_DRAWN),
+       overrides=st.fixed_dictionaries({}, optional=_DRAWN))
+def test_config_round_trip(text, overrides):
+    """parse_config of a rendered config plus overrides reads back every
+    value, the override's where both give one and the default where
+    neither does; rendering its raw keys again parses to the same values."""
+    cfg = parse_config("".join(f"{k} = {_render(v)}\n" for k, v in text.items()),
+                       overrides={k: _render(v) for k, v in overrides.items()})
+    default = parse_config("")
+    for key, read in _READ.items():
+        want = {**text, **overrides}.get(key, read(default))
+        assert read(cfg) == want, key
+    again = parse_config("".join(f"{k} = {v}\n" for k, v in cfg.raw.items()))
+    assert all(read(again) == read(cfg) for read in _READ.values())
+    assert again.grid == cfg.grid
 
 
 def test_run_transform_mode(tmp_path, gauss_spec):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -290,3 +292,59 @@ def test_warm_cat_certification():
         fv = np.array([fast[i, j] for i, j in zip(ix, ip)])
         rel = np.abs(fv - orc) / np.maximum(np.abs(fv), np.abs(orc))
         assert rel.max() < 1e-6, term
+
+
+def _k_rule_move(term, w0, params, t, probes, rule):
+    """Largest relative move of oracle_diagram's values at `rule` when every
+    k panel of its spectral sums is cut into four equal panels."""
+    panels = oracle._k_panels
+
+    def quartered(*args):
+        mid, half, count = panels(*args)
+        part = 0.25 * half
+        mid = (mid[:, None] + part[:, None] * np.array([-3.0, -1.0, 1.0, 3.0])).ravel()
+        return mid, np.repeat(part, 4), 4 * count
+
+    n_lambda, n_inner = rule
+    vals, _ = oracle_diagram(term, w0, params, t, probes, n_lambda=n_lambda,
+                             n_inner=n_inner)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_k_panels", quartered)
+        fine, _ = oracle_diagram(term, w0, params, t, probes, n_lambda=n_lambda,
+                                 n_inner=n_inner)
+    return np.max(np.abs(vals - fine) / np.abs(fine))
+
+
+@pytest.mark.parametrize("m_e", (0.1, 0.03))
+def test_light_bath_k_rule_is_converged(gentle_instance, m_e):
+    """On a light bath 1/w peaks within m_e of k = 0, where the gain's k
+    window has no panel edge of its own: the k rule grades toward k = 0, so
+    4x its panels move no term by more than 1e-12 at the ladder's second
+    rung, and certification stops the gain there, converged (a uniform
+    4-panel floor left the gain 2.7e-5 (m_e = 0.1) and 1.6e-2 (0.03) off,
+    unconverged at the top rung)."""
+    w0, t, quad, grid = (gentle_instance[k] for k in ("w0", "t", "quad", "grid"))
+    params = replace(gentle_instance["params"], m_e=m_e)
+    probes = default_probes(grid, params, t)
+    for term in ("gain", "loss_left", "loss_right"):
+        assert _k_rule_move(term, w0, params, t, probes, oracle._RUNGS[1]) <= 1e-12, term
+    entry = certify_instance(w0, params, t, probes, quad, terms=("gain",))["terms"]["gain"]
+    assert entry["oracle_rule"] == [20, 18] and entry["oracle_converged"]
+
+
+@pytest.mark.parametrize("instance", ("gentle", "gentle_warm", "warm_cat"))
+def test_oracle_k_rule_is_converged(gentle_instance, instance):
+    """4x the k panels move no probe of any term by more than 1e-12 at the
+    ladder's first two rungs: both take the same k nodes per panel, so the
+    ladder itself cannot see the k rule's error."""
+    if instance == "warm_cat":
+        w0, params, t, probes = _warm_cat()
+    else:
+        w0, t = gentle_instance["w0"], gentle_instance["t"]
+        params = replace(gentle_instance["params"],
+                         t_env=0.7 if instance == "gentle_warm" else 0.0)
+        probes = default_probes(gentle_instance["grid"], params, t)
+    for rule in oracle._RUNGS[:2]:
+        for term in ("gain", "loss_left", "loss_right"):
+            move = _k_rule_move(term, w0, params, t, probes, rule)
+            assert move <= 1e-12, (rule, term, move)
