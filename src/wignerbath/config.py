@@ -15,7 +15,8 @@ reported together, not one at a time.
     m_s, m_e     system / bath masses
     g            coupling
     t_env        bath temperature (0 = vacuum)
-    lambda_uv    UV momentum cutoff for the bath
+    lambda_uv    UV momentum cutoff of the bath, and so the range |k| <= lambda_uv
+                 of the k integral
     state.kind   gaussian | cat
     state.x0     packet center (comma list for d = 3)
     state.p0     packet momentum
@@ -24,7 +25,6 @@ reported together, not one at a time.
     times        output times >= 0, strictly increasing; one or more (one to certify)
     quad.n_k     Gauss nodes per k panel, with n_k + 1 Kronrod nodes between them
                  (16 to 64)
-    quad.k_max   k cutoff (0 = lambda_uv; must not exceed lambda_uv)
     quad.rel_tol tolerance on each term's error estimate
     out.dir      output directory
     out.plot_data  true | false  (gnuplot triplet files)
@@ -60,7 +60,6 @@ _DEFAULTS = {
     "state.phase": "0.0",
     "times": "1.0",
     "quad.n_k": "24",
-    "quad.k_max": "0",
     "quad.rel_tol": "1e-6",
     "out.dir": "out",
     "out.plot_data": "true",
@@ -156,7 +155,6 @@ def parse_config(text, overrides=None):
     p0 = grab("state.p0", _parse_floats, "comma list of numbers")
     times = grab("times", _parse_floats, "comma list of numbers")
     n_k = grab("quad.n_k", int, "integer")
-    k_max = grab("quad.k_max", float, "number")
     rel_tol = grab("quad.rel_tol", float, "number")
     workers = grab("workers", int, "integer")
     boundary_tol = grab("boundary_tol", float, "number")
@@ -192,14 +190,11 @@ def parse_config(text, overrides=None):
                                        sigma=sigma, separation=sep, phase=phase)
         except ValueError as exc:
             errors.append(f"state: {exc}")
-    if None not in (n_k, k_max, rel_tol):
+    if None not in (n_k, rel_tol):
         try:
-            quad = QuadratureSpec(n_k=n_k, k_max=k_max, rel_tol=rel_tol)
+            quad = QuadratureSpec(n_k=n_k, rel_tol=rel_tol)
         except ValueError as exc:
             errors.append(f"quad: {exc}")
-    if None not in (k_max, lam) and k_max > lam > 0.0:
-        errors.append(f"quad.k_max: {raw['quad.k_max']} exceeds the UV cutoff "
-                      f"lambda_uv = {raw['lambda_uv']}")
     if initial is not None and n_x is not None:
         try:
             if "dx" in raw or "x_min" in raw:

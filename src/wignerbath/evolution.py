@@ -252,14 +252,14 @@ class QuadratureSpec:
     The k rule is always composite Gauss-Kronrod with n_k Gauss nodes per
     panel; a term converged when its error estimate is within rel_tol.
     n_k <= 64, as the tests use 16-48 and criterion 7 doubles the default 24.
-    k_max = 0 means "use the model's UV cutoff".  There is no time quadrature
+    The k range is the model's UV cutoff, params.lambda_uv: the k integral
+    is the bath's spectral sum.  There is no time quadrature
     to control: the fast path integrates time analytically and reports it
     as exact, and the certification oracle sizes its time quadrature with
     its own n_lambda and n_inner.
     """
 
     n_k: int = 24
-    k_max: float = 0.0
     rel_tol: float = 1e-6
 
     def __post_init__(self):
@@ -267,16 +267,8 @@ class QuadratureSpec:
             raise ValueError(f"n_k must be an integer, got {self.n_k!r}")
         if not 16 <= self.n_k <= 64:
             raise ValueError(f"n_k must be in [16, 64], got {self.n_k}")
-        if not (math.isfinite(self.k_max) and self.k_max >= 0.0):
-            raise ValueError("k_max must be finite and >= 0 (0 selects the UV cutoff)")
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
             raise ValueError("rel_tol must be finite and positive")
-
-    def resolved_k_max(self, params):
-        k = self.k_max if self.k_max > 0.0 else params.lambda_uv
-        if k > params.lambda_uv:
-            raise ValueError("k_max must not exceed the UV cutoff lambda_uv")
-        return k
 
 
 # ---------------------------------------------------------------------------
@@ -413,26 +405,25 @@ def build_modes(w0, x_reach=None):
 # ---------------------------------------------------------------------------
 
 def _k_nodes(params, quad, t, u_max, p_scale):
-    """Tensor nodes on the d-cube with the |k| <= k_max ball mask, their
+    """Tensor nodes on the d-cube with the |k| <= lambda_uv ball mask, their
     (K, 2) weights (Kronrod, then its embedded Gauss rule; `kronrod_rule`)
     and the panels per axis, 2 ceil(phase / (4 PHASE_PER_PANEL)) from the
     phase range at u_max and p_scale, at least 2.  The count is even, so
     that k = 0, next to the branch points of 1/w at k = +-i m_e, is a panel
     edge and not a panel's centre.
     """
-    k_max = quad.resolved_k_max(params)
-    m = params.m_s
-    phase = (2.0 * k_max * t * (p_scale + 0.5 * u_max) / m
-             + k_max**2 * t / m + 2.0 * k_max * t + 2.0 * np.pi)
+    lam, m = params.lambda_uv, params.m_s
+    phase = (2.0 * lam * t * (p_scale + 0.5 * u_max) / m
+             + lam**2 * t / m + 2.0 * lam * t + 2.0 * np.pi)
     panels = 2 * max(1, math.ceil(phase / (4.0 * PHASE_PER_PANEL)))
     base_x, base_w = kronrod_rule(quad.n_k)
-    edges = np.linspace(-k_max, k_max, panels + 1)
+    edges = np.linspace(-lam, lam, panels + 1)
     half, mid = 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[1:] + edges[:-1])
     nodes1 = (mid[:, None] + half[:, None] * base_x).ravel()
     w1 = (half[:, None, None] * base_w).reshape(-1, 2)
     k = _tensor_points([nodes1] * params.d)
     w = np.prod(w1[_tensor_points([np.arange(nodes1.size)] * params.d)], axis=1)
-    mask = np.sum(k**2, axis=-1) <= k_max**2
+    mask = np.sum(k**2, axis=-1) <= lam**2
     return k[mask], w[mask], panels
 
 
@@ -551,7 +542,7 @@ def _diagram_core(term, modes, X, P, dp, params, t, k, wk):
     return ux_phase.T @ (weight * acc)
 
 
-def _resolve_modes(w0, params, t, quad):
+def _resolve_modes(w0, params, t):
     """Build the mode rep with a wrap-free period: each builder gets the
     reach of the evaluated positions x - p t/m + (k shift) from the state's
     centre, the packet center x0 for a closed-form state and the box centre
@@ -562,7 +553,7 @@ def _resolve_modes(w0, params, t, quad):
     else:
         reach = 0.5 * grid.n_x * grid.dx
     p_span = float(np.max(np.abs(grid.p_nodes)))
-    reach += (p_span + quad.resolved_k_max(params)) * t / params.m_s
+    reach += (p_span + params.lambda_uv) * t / params.m_s
     return build_modes(w0, x_reach=reach)
 
 
@@ -591,7 +582,7 @@ def _second_order(w0, params, t, quad, workers=1, terms=TERMS):
         zero = np.zeros((2, grid.n_x**d, grid.n_x**d), dtype=complex)
         results, panels, n_nodes, x_period = [zero] * (2 * len(evaluated)), 0, 0, 0.0
     else:
-        modes = _resolve_modes(w0, params, t, quad)
+        modes = _resolve_modes(w0, params, t)
         X, P = (_tensor_points([v] * d) for v in (grid.x_nodes, grid.p_nodes))
         k, wk, panels = _k_nodes(params, quad, t, modes.u_max, float(np.max(np.abs(P))))
         # the trace: the u = 0 row at one x node, on the lattice dp over the
@@ -602,7 +593,7 @@ def _second_order(w0, params, t, quad, workers=1, terms=TERMS):
         row = replace(modes, u=modes.u[j0:j0 + 1], coef=modes.coef[j0:j0 + 1])
         passes = []
         for term in evaluated:
-            reach = quad.resolved_k_max(params) if term == "gain" else 0.0
+            reach = params.lambda_uv if term == "gain" else 0.0
             p_row = _tensor_points([dp * np.arange(np.ceil((lo - reach) / dp),
                                                    np.floor((hi + reach) / dp) + 1)
                                     for lo, hi in modes.q_box])

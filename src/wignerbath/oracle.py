@@ -49,8 +49,7 @@ import time
 import numpy as np
 
 from .grids import PhaseSpaceGrid
-from .propagators import (ModelParams, bose_occupation, chunk_len, gauss_panels,
-                          legendre_rule)
+from .propagators import bose_occupation, chunk_len, gauss_panels, legendre_rule
 from .states import InitialStateSpec
 from .wigner import signed_mode_numbers
 
@@ -165,12 +164,10 @@ def _sigma_t(sigma, m, t):
 
 @dataclass(frozen=True)
 class ProbeSet:
-    """Phase-space probe points plus the instance they belong to."""
+    """Phase-space probe points on the grid they were taken from."""
 
     points: tuple
     grid: PhaseSpaceGrid
-    params: ModelParams
-    t: float
 
     def __post_init__(self):
         pts = tuple((float(x), float(p)) for x, p in self.points)
@@ -184,13 +181,13 @@ class ProbeSet:
                 raise ValueError(f"probe ({x}, {p}) lies outside the grid box")
 
 
-def default_probes(grid, params, t):
+def default_probes(grid):
     """A centered 3 x 3 sub-lattice of grid nodes, away from the box edges."""
     n = grid.n_x
     idx = [n // 2 + (i - _PROBE_SIDE // 2) * max(1, n // 8)
            for i in range(_PROBE_SIDE)]
     pts = [(grid.x_nodes[i], grid.p_nodes[j]) for i in idx for j in idx]
-    return ProbeSet(points=tuple(pts), grid=grid, params=params, t=t)
+    return ProbeSet(points=tuple(pts), grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -702,10 +699,10 @@ def certify_instance(w0, params, t, probes, quad, terms=("gain", "loss_left",
     self-declared error estimates, and per-probe/per-term pass flags; each
     term's "fast_report" is its quadrature report, phase-space "trace"
     included (see `evolution._second_order`), and the instance's "quad"
-    names n_k, k_max and the node count of the fast path's one k rule
-    ("k_nodes", after the ball mask).  A probe passes when the
-    relative difference is within _CERTIFY_REL_TOL or within the fast
-    term's rel_err_est plus the oracle's error estimate.
+    names n_k and the node count of the fast path's one k rule ("k_nodes",
+    after the ball mask); the rule spans |k| <= the instance's "lambda_uv".
+    A probe passes when the relative difference is within _CERTIFY_REL_TOL
+    or within the fast term's rel_err_est plus the oracle's error estimate.
 
     Each term climbs a ladder of oracle rules, _RUNGS (each an
     `oracle_diagram` call that batches its tau nodes as described there).
@@ -731,7 +728,7 @@ def certify_instance(w0, params, t, probes, quad, terms=("gain", "loss_left",
             "lambda_uv": params.lambda_uv, "t": t,
             "n_x": grid.n_x, "dx": grid.dx, "x_min": grid.x_min,
             "state": None if w0.source is None else vars(w0.source) | {},
-            "quad": {"n_k": quad.n_k, "k_max": quad.resolved_k_max(params)},
+            "quad": {"n_k": quad.n_k},
         },
         "probes": [list(pt) for pt in probes.points],
         "terms": {},

@@ -245,8 +245,6 @@ def wightman_amp(dt, dx, params):
 
 def env_wightman(a, b, params):
     """Fixed-order bath propagator Delta^<_{ab} = <phi(b) phi(a)>."""
-    if not np.isfinite(params.lambda_uv):
-        raise ValueError("the bath propagator is UV divergent without a finite cutoff")
     dt = b.t - a.t
     if params.d == 1:
         dx = b.x[0] - a.x[0]

@@ -172,7 +172,7 @@ def run(config):
 
         elif config.mode == "transform":
             rho = density_from_wigner(w0)
-            w_back = wigner_from_density(rho, config.grid)
+            w_back = wigner_from_density(rho)
             path = os.path.join(config.out_dir, "wigner_t0.csv")
             rows = write_wigner_csv(w_back, path)
             files.append(path)
@@ -227,7 +227,7 @@ def run(config):
 
         elif config.mode == "certify":
             t, = config.times
-            probes = default_probes(config.grid, config.model, t)
+            probes = default_probes(config.grid)
             record = certify_instance(w0, config.model, t, probes, config.quad,
                                       backend=config.backend)
             path = os.path.join(config.out_dir, "certification.json")

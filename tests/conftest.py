@@ -37,7 +37,7 @@ def tiny_instance(gauss_spec, params_ref):
     """The 16 x 16 certification instance (m_s = m_e = 1, t = 1, UV = 50)."""
     grid = balanced_grid(gauss_spec, 16)
     w0 = make_initial_wigner(gauss_spec, grid, boundary_tol=1e-4)
-    quad = QuadratureSpec(n_k=24, k_max=50.0, rel_tol=1e-6)
+    quad = QuadratureSpec(n_k=24, rel_tol=1e-6)
     return {"grid": grid, "w0": w0, "params": params_ref, "t": 1.0,
             "quad": quad}
 
@@ -49,5 +49,5 @@ def gentle_instance(gauss_spec):
     grid = balanced_grid(gauss_spec, 32)
     w0 = make_initial_wigner(gauss_spec, grid, boundary_tol=1e-6)
     params = ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=6.0)
-    quad = QuadratureSpec(n_k=24, k_max=6.0, rel_tol=1e-6)
+    quad = QuadratureSpec(n_k=24, rel_tol=1e-6)
     return {"grid": grid, "w0": w0, "params": params, "t": 0.6, "quad": quad}

@@ -31,7 +31,7 @@ def reference_run(tiny_instance):
     """Criterion-6 reference: certification record plus the assembled run."""
     w0, params, t, quad, grid = (tiny_instance[k] for k in
                                  ("w0", "params", "t", "quad", "grid"))
-    probes = default_probes(grid, params, t)
+    probes = default_probes(grid)
     record = certify_instance(w0, params, t, probes, quad)
     result = evolve(w0, params, t, quad)
     return {"record": record, "result": result, **tiny_instance,
@@ -44,7 +44,7 @@ def test_criterion_1_transform_round_trip(gauss_spec, cat_spec):
     for spec in (gauss_spec, cat_spec):
         grid = balanced_grid(spec, 128)
         w0 = make_initial_wigner(spec, grid)
-        w_rt = wigner_from_density(density_from_wigner(w0), grid)
+        w_rt = wigner_from_density(density_from_wigner(w0))
         rel = np.max(np.abs(w_rt.values - w0.values)) / np.max(np.abs(w0.values))
         worst = max(worst, rel)
     elapsed = time.time() - start
@@ -62,7 +62,7 @@ def test_criterion_2_closed_form_wigner():
         x = grid.x_nodes
         rho = DensityMatrix(grid=grid, t=0.0,
                             values=density_closed(spec, x[:, None], x[None, :]))
-        w = wigner_from_density(rho, grid)
+        w = wigner_from_density(rho)
         ref = (1.0 / np.pi) * np.exp(-x[:, None] ** 2 / (2 * sigma**2)
                                      - 2 * sigma**2 * grid.p_nodes[None, :] ** 2)
         worst = max(worst, float(np.max(np.abs(w.values - ref))))
@@ -196,8 +196,7 @@ def test_criterion_7_trace_cancellation(reference_run):
     # its self-declared estimate
     w0, params, t, quad, grid = (reference_run[k] for k in
                                  ("w0", "params", "t", "quad", "grid"))
-    fine = QuadratureSpec(n_k=2 * quad.n_k, k_max=quad.k_max,
-                          rel_tol=quad.rel_tol)
+    fine = QuadratureSpec(n_k=2 * quad.n_k, rel_tol=quad.rel_tol)
     cell = grid.cell_volume
     terms_1, terms_2 = (_second_order(w0, params, t, q) for q in (quad, fine))
     for term in ("gain", "loss_left", "loss_right"):
@@ -222,7 +221,6 @@ def test_criterion_9_determinism(tmp_path):
 mode = evolve
 n_x = 32
 lambda_uv = 6.0
-quad.k_max = 6.0
 times = 0.5
 out.dir = {out}
 workers = {workers}
@@ -241,7 +239,7 @@ workers = {workers}
 
 def test_criterion_10_decoherence_smoke(cat_spec):
     params = ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=8.0)
-    quad = QuadratureSpec(n_k=24, k_max=8.0, rel_tol=1e-5)
+    quad = QuadratureSpec(n_k=24, rel_tol=1e-5)
     grid = balanced_grid(cat_spec, 128)
     w0 = make_initial_wigner(cat_spec, grid)
     nv0 = observables(w0).negativity_volume

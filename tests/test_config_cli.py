@@ -20,7 +20,6 @@ MINIMAL = """
 mode = evolve
 n_x = 32
 lambda_uv = 6.0
-quad.k_max = 6.0
 times = 0.5
 out.dir = {out}
 """
@@ -82,6 +81,16 @@ def test_trapezoid_scheme_rejected():
         QuadratureSpec(scheme="trapezoid")
 
 
+def test_k_max_key_is_retired(tmp_path, capsys):
+    # the k range is the model's UV cutoff, so there is no k cutoff to set
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(MINIMAL.format(out=tmp_path / "out") + "quad.k_max = 6.0\n")
+    assert main(["evolve", "--config", str(cfg_path)]) == 2
+    assert "unknown key 'quad.k_max'" in capsys.readouterr().err
+    with pytest.raises(TypeError, match="k_max"):
+        QuadratureSpec(k_max=6.0)
+
+
 def test_every_key_is_documented():
     doc = config_module.__doc__
     for key in config_module._KNOWN_KEYS:
@@ -100,7 +109,7 @@ def test_cli_does_not_import_scipy_integrate():
             "spec = InitialStateSpec(kind='gaussian', x0=(0.0,), p0=(0.0,), sigma=1.0)\n"
             "w0 = make_initial_wigner(spec, balanced_grid(spec, 16), boundary_tol=1e-4)\n"
             "params = ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=6.0)\n"
-            "terms = _second_order(w0, params, 0.1, QuadratureSpec(n_k=16, k_max=6.0))\n"
+            "terms = _second_order(w0, params, 0.1, QuadratureSpec(n_k=16))\n"
             "assert terms['gain'][1]['k_nodes'] > 0\n"
             "print('scipy.integrate' in sys.modules)")
     src = os.path.dirname(os.path.dirname(config_module.__file__))
@@ -117,13 +126,12 @@ def test_negative_time_rejected():
 
 @pytest.mark.parametrize("key, value", [
     ("n_x", "0"), ("n_x", "7"), ("lambda_uv", "inf"), ("times", "nan"),
-    ("times", "0.5, inf"), ("t_env", "inf"), ("quad.k_max", "nan"),
-    ("quad.k_max", "inf"), ("quad.rel_tol", "nan"), ("boundary_tol", "nan"),
-    ("dx", "inf")])
+    ("times", "0.5, inf"), ("t_env", "inf"), ("quad.rel_tol", "nan"),
+    ("boundary_tol", "nan"), ("dx", "inf")])
 def test_bad_numbers_are_rejected_by_name(tmp_path, key, value):
     """A non-finite number, or an n_x the grid would reject, is the one error
     of the aggregated ConfigError, named by its key, and the CLI exits with
-    status 2; QuadratureSpec itself rejects a non-finite k_max or rel_tol."""
+    status 2; QuadratureSpec itself rejects a non-finite rel_tol."""
     text = MINIMAL.format(out=tmp_path / "out") + f"{key} = {value}\n"
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
@@ -200,7 +208,6 @@ _DRAWN = {
     "times": st.lists(st.floats(0.0, 5.0), min_size=1, max_size=3,
                       unique=True).map(lambda v: tuple(sorted(v))),
     "quad.n_k": st.integers(16, 64),
-    "quad.k_max": st.floats(0.0, 4.0),
     "quad.rel_tol": st.floats(1e-12, 1e-2),
     "workers": st.integers(1, 8),
     "backend": st.sampled_from(("auto", "grid")),
@@ -215,8 +222,8 @@ _READ = {
     "state.p0": lambda c: c.initial.p0[0], "state.sigma": lambda c: c.initial.sigma,
     "state.separation": lambda c: c.initial.separation,
     "state.phase": lambda c: c.initial.phase, "times": lambda c: tuple(c.times),
-    "quad.n_k": lambda c: c.quad.n_k, "quad.k_max": lambda c: c.quad.k_max,
-    "quad.rel_tol": lambda c: c.quad.rel_tol, "workers": lambda c: c.workers,
+    "quad.n_k": lambda c: c.quad.n_k, "quad.rel_tol": lambda c: c.quad.rel_tol,
+    "workers": lambda c: c.workers,
     "backend": lambda c: c.backend, "boundary_tol": lambda c: c.boundary_tol,
 }
 
@@ -327,8 +334,8 @@ def test_cli_exit_codes(tmp_path):
     assert main(["evolve", "--config", str(tmp_path / "missing.cfg")]) == 2
     cfg_path.write_text(MINIMAL.format(out=tmp_path / "out2") + "n_x = 33\n")
     assert main(["evolve", "--config", str(cfg_path)]) == 2
-    # no output time, or a k cutoff above lambda_uv, is a config error
-    for bad in ("times =\n", "times = ,\n", "quad.k_max = 8.0\n"):
+    # no output time is a config error
+    for bad in ("times =\n", "times = ,\n"):
         cfg_path.write_text(MINIMAL.format(out=tmp_path / "out4") + bad)
         assert main(["evolve", "--config", str(cfg_path)]) == 2, bad
     # certify mode certifies exactly one output time

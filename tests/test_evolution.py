@@ -387,11 +387,11 @@ def test_small_time_quadratic_scaling(tiny_instance):
     e^{iB tau} dtau also carries the O(t) one-loop energy shift."""
     w0, params, quad = (tiny_instance[k] for k in ("w0", "params", "quad"))
     cell = tiny_instance["grid"].cell_volume
-    lam = quad.resolved_k_max(params)
+    lam = params.lambda_uv
     t_uv = 1.0 / (lam**2 / (2.0 * params.m_s) + lam)
     grid = tiny_instance["grid"]
     for term in ("gain", "loss_left"):
-        norms = [np.abs(_core_on_grid(term, _resolve_modes(w0, params, t, quad), grid,
+        norms = [np.abs(_core_on_grid(term, _resolve_modes(w0, params, t), grid,
                                       params, t, quad).real).sum() * cell
                  for t in (0.1 * t_uv, 0.2 * t_uv, 0.4 * t_uv)]
         r1 = norms[1] / norms[0]
@@ -485,11 +485,11 @@ def test_diagram_core_matches_direct_evaluation(gauss_spec, backend, term):
     (B~ = -p.k/m + k^2/2m + w_k + u_j.k/2m): the mirror identity."""
     grid = balanced_grid(gauss_spec, 16)
     w0 = _input(make_initial_wigner(gauss_spec, grid, boundary_tol=1e-4), backend)
-    quad = QuadratureSpec(n_k=16, k_max=8.0)
+    quad = QuadratureSpec(n_k=16)
     t = 0.7
     for params in (ModelParams(d=1, m_s=1.3, m_e=0.7, g=0.1, lambda_uv=8.0),
                    ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=8.0, t_env=0.7)):
-        modes = _resolve_modes(w0, params, t, quad)
+        modes = _resolve_modes(w0, params, t)
         if term == "loss_right":
             got = _second_order(w0, params, t, quad)[term][0]
         else:
@@ -517,11 +517,11 @@ def test_diagram_core_matches_direct_evaluation_above_rank_one(gauss_spec, case)
         noise = np.random.default_rng(0).standard_normal(w0.values.shape)
         w0 = dataclasses.replace(w0, values=w0.values + noise, normalized=False,
                                  source=None)
-    quad = QuadratureSpec(n_k=16, k_max=8.0)
+    quad = QuadratureSpec(n_k=16)
     t = 0.7
     for params in (ModelParams(d=1, m_s=1.3, m_e=0.7, g=0.1, lambda_uv=8.0),
                    ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=8.0, t_env=0.7)):
-        modes = _resolve_modes(w0, params, t, quad)
+        modes = _resolve_modes(w0, params, t)
         rank = _rank_factors(modes.coef)[1].shape[0]
         assert rank == (min(modes.coef.shape) - 1 if kind == "noisy" else 2)
         for term in ("gain", "loss_left"):
@@ -553,8 +553,8 @@ def test_rank_factors(gauss_spec, cat_spec):
     grid = balanced_grid(gauss_spec, 16)
     zero = WignerFunction(grid=grid, t=0.0, values=np.zeros(grid.value_shape()))
     params = ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=8.0)
-    quad = QuadratureSpec(n_k=16, k_max=8.0)
-    modes = _resolve_modes(zero, params, 0.7, quad)
+    quad = QuadratureSpec(n_k=16)
+    modes = _resolve_modes(zero, params, 0.7)
     assert check(modes.coef) == 0
     assert not np.any(_core_on_grid("gain", modes, grid, params, 0.7, quad))
 
@@ -582,7 +582,7 @@ def test_backends_agree_when_wrap_free(gentle_instance):
     (1.0, 50.0, 0.5, 0.0, 0.0), (2.0, 8.0, 1.0, 1.0, 4.0)])
 def test_mode_period_is_wrap_free(path, t, lam, x0, p0, separation):
     """Every position the diagrams evaluate, x - p t/m plus the largest k
-    shift over the window (k_max t/m, the gain's), stays at least the
+    shift over the window (lambda_uv t/m, the gain's), stays at least the
     support half-width (the box's, on the grid path) away from every image
     x0 +- L of the mode period, for either builder, over a few (t, lambda,
     x0, p0) and a cat; the grid modes pad to a whole multiple of n, and the
@@ -592,8 +592,7 @@ def test_mode_period_is_wrap_free(path, t, lam, x0, p0, separation):
     grid = balanced_grid(spec, 32)
     w0 = _input(make_initial_wigner(spec, grid, boundary_tol=1e-3), path)
     params = ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=lam)
-    quad = QuadratureSpec(n_k=16, k_max=lam)
-    modes = _resolve_modes(w0, params, t, quad)
+    modes = _resolve_modes(w0, params, t)
     centre, period = np.mean(modes.x_box[0]), np.diff(modes.x_box[0])[0]
     if path == "grid":
         assert centre == pytest.approx(np.mean(grid.x_nodes), abs=1e-12)
@@ -606,7 +605,7 @@ def test_mode_period_is_wrap_free(path, t, lam, x0, p0, separation):
         # leaves the period and the mode count as they are at x0 = 0
         home = dataclasses.replace(spec, x0=(0.0,))
         at_home = _resolve_modes(make_initial_wigner(home, balanced_grid(home, 32),
-                                                     boundary_tol=1e-3), params, t, quad)
+                                                     boundary_tol=1e-3), params, t)
         assert np.diff(at_home.x_box[0])[0] == pytest.approx(period, rel=1e-12)
     shift = lam * t / params.m_s
     xt = grid.x_nodes[:, None] - grid.p_nodes[None, :] * t / params.m_s
@@ -623,7 +622,7 @@ def test_grid_path_is_pinned_to_the_closed_path(tiny_instance, w0_64):
     cases = ((tiny_instance["w0"], tiny_instance["params"], tiny_instance["t"],
               tiny_instance["quad"], {"gain": 2.65e-6, "loss_left": 3.58e-6}),
              (w0_64, ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=8.0), 0.7,
-              QuadratureSpec(n_k=24, k_max=8.0), {"gain": 1e-13, "loss_left": 1e-13}))
+              QuadratureSpec(n_k=24), {"gain": 1e-13, "loss_left": 1e-13}))
     for w0, params, t, quad, bound in cases:
         closed, gridded = (_second_order(_input(w0, path), params, t, quad)
                            for path in ("closed", "grid"))
@@ -635,8 +634,8 @@ def test_grid_path_is_pinned_to_the_closed_path(tiny_instance, w0_64):
 def test_quadrature_convergence_report(gentle_instance):
     """Doubling n_k changes each term by less than its error estimate."""
     w0, params, t = (gentle_instance[k] for k in ("w0", "params", "t"))
-    base = QuadratureSpec(n_k=24, k_max=6.0, rel_tol=1e-4)
-    fine = QuadratureSpec(n_k=48, k_max=6.0, rel_tol=1e-4)
+    base = QuadratureSpec(n_k=24, rel_tol=1e-4)
+    fine = QuadratureSpec(n_k=48, rel_tol=1e-4)
     cell = gentle_instance["grid"].cell_volume
     w0 = _input(w0, "grid")
     terms_1, terms_2 = (_second_order(w0, params, t, q) for q in (base, fine))
@@ -652,8 +651,7 @@ def test_error_estimate_below_the_panel_floor(tiny_instance):
     rule there is still a lower-order rule than the Kronrod one, so the
     estimate is nonzero and bounds the change that doubling n_k makes."""
     w0, params, quad = (tiny_instance[k] for k in ("w0", "params", "quad"))
-    fine = QuadratureSpec(n_k=2 * quad.n_k, k_max=quad.k_max,
-                          rel_tol=quad.rel_tol)
+    fine = QuadratureSpec(n_k=2 * quad.n_k, rel_tol=quad.rel_tol)
     cell = tiny_instance["grid"].cell_volume
     t = 0.01
     terms_1, terms_2 = (_second_order(w0, params, t, q) for q in (quad, fine))
@@ -679,7 +677,7 @@ def test_error_estimate_tracks_the_error_on_an_even_half_run(gauss_spec, monkeyp
     params = ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=20.0)
     quad = QuadratureSpec()
     t = 0.25
-    modes = _resolve_modes(w0, params, t, quad)
+    modes = _resolve_modes(w0, params, t)
     terms = _second_order(w0, params, t, quad)
     for term in ("gain", "loss_left"):
         vals, rep = terms[term]
@@ -706,9 +704,9 @@ def test_chunk_budget_does_not_change_the_terms(gauss_spec, monkeypatch, term):
     grid = balanced_grid(gauss_spec, 16)
     w0 = _input(make_initial_wigner(gauss_spec, grid, boundary_tol=1e-4), "grid")
     params = ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=8.0, t_env=0.7)
-    quad = QuadratureSpec(n_k=16, k_max=8.0)
+    quad = QuadratureSpec(n_k=16)
     t = 0.7
-    modes = _resolve_modes(w0, params, t, quad)
+    modes = _resolve_modes(w0, params, t)
     ref = _core_on_grid(term, modes, grid, params, t, quad)
     ref_trace = _second_order(w0, params, t, quad)[term][1]["trace"]
     budget = 1 << 16
@@ -742,7 +740,7 @@ def test_evolve_g_zero_is_free_streaming(w0_64, params_ref, gentle_instance):
     for a closed-form state, the spectral shear of the samples under
     backend = "grid" (on the 32-node gentle grid)."""
     params = ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.0, lambda_uv=8.0)
-    quad = QuadratureSpec(n_k=16, k_max=8.0)
+    quad = QuadratureSpec(n_k=16)
     res = evolve(w0_64, params, 0.7, quad)
     assert np.array_equal(res.w_total.values, zeroth_closed(w0_64, params, 0.7).values)
     w0, t, quad = (gentle_instance[k] for k in ("w0", "t", "quad"))
@@ -755,12 +753,12 @@ def test_closed_backend_is_retired(w0_64, params_ref):
     """backend = "closed" is rejected by name: "auto" takes the closed path."""
     for backend in ("closed", "fast"):
         with pytest.raises(ValueError, match="'closed' is retired"):
-            evolve(w0_64, params_ref, 0.7, QuadratureSpec(n_k=16, k_max=8.0),
+            evolve(w0_64, params_ref, 0.7, QuadratureSpec(n_k=16),
                    backend=backend)
 
 
 def test_evolve_t_zero_is_identity(w0_64, params_ref):
-    res = evolve(w0_64, params_ref, 0.0, QuadratureSpec(n_k=16, k_max=8.0))
+    res = evolve(w0_64, params_ref, 0.0, QuadratureSpec(n_k=16))
     assert np.array_equal(res.w_total.values, w0_64.values)
 
 
@@ -879,7 +877,7 @@ def test_trace_balance_and_reality_hold_for_gaussians(x0, p0, sigma, t_env):
                                           sigma=1.0), 32)
     w0 = make_initial_wigner(spec, grid, boundary_tol=1e-4)
     params = ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=6.0, t_env=t_env)
-    d = evolve(w0, params, 0.6, QuadratureSpec(n_k=24, k_max=6.0)).diagnostics
+    d = evolve(w0, params, 0.6, QuadratureSpec(n_k=24)).diagnostics
     assert abs(d["trace_defect_g2"]) <= 1e-4 * d["gain_l1"]
     assert d["max_imag_residue"] < 1e-10
 
@@ -900,7 +898,7 @@ def test_terms_are_linear_in_the_initial_state(x0, p0, sigma, a, b):
                             grid.x_nodes[:, None], grid.p_nodes[None, :])
               for x, p, sg in zip(x0, p0, sigma))
     params = ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=6.0)
-    quad = QuadratureSpec(n_k=24, k_max=6.0)
+    quad = QuadratureSpec(n_k=24)
     t = 0.3
     for term in ("gain", "loss_left"):
         f1, f2, f12 = (_core_on_grid(term, modes_from_grid(WignerFunction(
@@ -975,7 +973,7 @@ def test_static_source_limit(monkeypatch, separation):
                              separation=separation))
     grid = balanced_grid(spec, 64)
     w0 = make_initial_wigner(spec, grid)
-    quad = QuadratureSpec(n_k=24, k_max=6.0)
+    quad = QuadratureSpec(n_k=24)
     t = 0.5
     second_order, branches = evolution._second_order, evolution._thermal_branches
 

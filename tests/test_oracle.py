@@ -16,13 +16,12 @@ from wignerbath import evolution, oracle
 from wignerbath.evolution import _fast_input, _second_order
 
 
-def test_probe_set_validation(gauss_spec, params_ref):
+def test_probe_set_validation(gauss_spec):
     grid = balanced_grid(gauss_spec, 16)
     with pytest.raises(ValueError, match="between 3 and 25"):
-        ProbeSet(points=((0, 0), (1, 0)), grid=grid, params=params_ref, t=1.0)
+        ProbeSet(points=((0, 0), (1, 0)), grid=grid)
     with pytest.raises(ValueError, match="outside"):
-        ProbeSet(points=((0, 0), (1, 0), (99.0, 0)), grid=grid,
-                 params=params_ref, t=1.0)
+        ProbeSet(points=((0, 0), (1, 0), (99.0, 0)), grid=grid)
 
 
 def test_packet_free_evolution_against_quadrature(gauss_spec):
@@ -40,9 +39,9 @@ def test_packet_free_evolution_against_quadrature(gauss_spec):
         assert abs(val - (re + 1j * im)) < 1e-10
 
 
-def test_oracle_transform_gaussian_closed_form(gauss_spec, params_ref):
+def test_oracle_transform_gaussian_closed_form(gauss_spec):
     grid = balanced_grid(gauss_spec, 32)
-    probes = default_probes(grid, params_ref, 0.0)
+    probes = default_probes(grid)
     rho = lambda xa, xb: density_closed(gauss_spec, xa, xb)
     vals, status = oracle_wigner_transform(rho, grid, probes)
     ref = np.array([wigner_closed(gauss_spec, np.array(x), np.array(p))
@@ -51,20 +50,19 @@ def test_oracle_transform_gaussian_closed_form(gauss_spec, params_ref):
     assert all(s["converged"] for s in status)
 
 
-def test_oracle_transform_zero_input(gauss_spec, params_ref):
+def test_oracle_transform_zero_input(gauss_spec):
     grid = balanced_grid(gauss_spec, 16)
-    probes = default_probes(grid, params_ref, 0.0)
+    probes = default_probes(grid)
     vals, _ = oracle_wigner_transform(np.zeros((16, 16)), grid, probes)
     assert np.max(np.abs(vals)) == 0.0
 
 
-def test_oracle_transform_agrees_with_fast_transform(gauss_spec, params_ref):
+def test_oracle_transform_agrees_with_fast_transform(gauss_spec):
     grid = balanced_grid(gauss_spec, 32)
     x = grid.x_nodes
     rho_vals = density_closed(gauss_spec, x[:, None], x[None, :])
-    w_fast = wigner_from_density(
-        DensityMatrix(grid=grid, t=0.0, values=rho_vals), grid)
-    probes = default_probes(grid, params_ref, 0.0)
+    w_fast = wigner_from_density(DensityMatrix(grid=grid, t=0.0, values=rho_vals))
+    probes = default_probes(grid)
     vals, _ = oracle_wigner_transform(rho_vals, grid, probes)
     ref = np.array([w_fast.values[int(round((x0 - grid.x_min) / grid.dx)),
                                   int(round((p0 - grid.p_nodes[0]) / grid.dp))]
@@ -93,7 +91,7 @@ def test_oracle_zeroth_matches_shear(gauss_spec, params_ref):
     grid = balanced_grid(gauss_spec, 16)
     w0 = make_initial_wigner(gauss_spec, grid, boundary_tol=1e-4)
     t = 0.8
-    probes = default_probes(grid, params_ref, t)
+    probes = default_probes(grid)
     vals, _ = oracle_diagram("zeroth", w0, params_ref, t, probes)
     ref = np.array([wigner_closed(gauss_spec, np.array(x - p * t), np.array(p))
                     for x, p in probes.points])
@@ -102,7 +100,7 @@ def test_oracle_zeroth_matches_shear(gauss_spec, params_ref):
 
 
 def test_oracle_gain_t0_zero(tiny_instance):
-    probes = default_probes(tiny_instance["grid"], tiny_instance["params"], 0.0)
+    probes = default_probes(tiny_instance["grid"])
     vals, _ = oracle_diagram("gain", tiny_instance["w0"],
                              tiny_instance["params"], 0.0, probes)
     assert np.max(np.abs(vals)) == 0.0
@@ -113,14 +111,14 @@ def test_oracle_requires_closed_form(gauss_spec, params_ref):
     grid = balanced_grid(gauss_spec, 16)
     w0 = make_initial_wigner(gauss_spec, grid, boundary_tol=1e-4)
     bare = WignerFunction(grid=grid, t=0.0, values=w0.values)
-    probes = default_probes(grid, params_ref, 1.0)
+    probes = default_probes(grid)
     with pytest.raises(ValueError, match="closed-form"):
         oracle_diagram("gain", bare, params_ref, 1.0, probes)
 
 
 def test_oracle_budget_flag(tiny_instance):
     w0, params, t = (tiny_instance[k] for k in ("w0", "params", "t"))
-    probes = default_probes(tiny_instance["grid"], params, t)
+    probes = default_probes(tiny_instance["grid"])
     vals, status = oracle_diagram("gain", w0, params, t, probes,
                                   budget_s=1e-9)
     assert any(s["status"] == "budget_exceeded" for s in status)
@@ -130,7 +128,7 @@ def test_gentle_instance_certification(gentle_instance):
     """Gridded fast path vs oracle on a wrap-free instance."""
     w0, params, t, quad, grid = (gentle_instance[k] for k in
                                  ("w0", "params", "t", "quad", "grid"))
-    probes = default_probes(grid, params, t)
+    probes = default_probes(grid)
     ix = [int(round((x - grid.x_min) / grid.dx)) for x, _ in probes.points]
     ip = [int(round((p - grid.p_nodes[0]) / grid.dp)) for _, p in probes.points]
     terms = _second_order(_fast_input(w0, "grid"), params, t, quad)
@@ -145,13 +143,13 @@ def test_gentle_instance_certification(gentle_instance):
 def test_certify_record_structure(gentle_instance):
     w0, params, t, quad, grid = (gentle_instance[k] for k in
                                  ("w0", "params", "t", "quad", "grid"))
-    probes = ProbeSet(points=tuple(probes_pt for probes_pt in
-                                   default_probes(grid, params, t).points[:4]),
-                      grid=grid, params=params, t=t)
+    probes = ProbeSet(points=default_probes(grid).points[:4], grid=grid)
     record = certify_instance(w0, params, t, probes, quad,
                               terms=("gain",), backend="grid")
     assert record["all_passed"]
     assert record["terms"]["gain"]["passed"]
+    # the k range is the instance's lambda_uv, so the quad record holds no cutoff
+    assert set(record["instance"]["quad"]) == {"n_k", "k_nodes"}
     k_nodes = record["instance"]["quad"]["k_nodes"]
     assert k_nodes == record["terms"]["gain"]["fast_report"]["k_nodes"] > 0
     entry = record["terms"]["gain"]["probes"][0]
@@ -163,7 +161,7 @@ def test_certify_ladder_stops_where_two_rules_agree(gentle_instance):
     whose values read as those of the oracle's default rule (28, 24)."""
     w0, params, t, quad, grid = (gentle_instance[k] for k in
                                  ("w0", "params", "t", "quad", "grid"))
-    probes = default_probes(grid, params, t)
+    probes = default_probes(grid)
     record = certify_instance(w0, params, t, probes, quad)
     assert record["all_passed"]
     for term, entry in record["terms"].items():
@@ -181,8 +179,8 @@ def test_certify_ladder_ends_at_the_default_rule(gentle_instance, monkeypatch):
     relative to the larger of the fast and oracle values as the estimate."""
     w0, params, t, quad, grid = (gentle_instance[k] for k in
                                  ("w0", "params", "t", "quad", "grid"))
-    probes = ProbeSet(points=default_probes(grid, params, t).points[:4],
-                      grid=grid, params=params, t=t)
+    probes = ProbeSet(points=default_probes(grid).points[:4],
+                      grid=grid)
     monkeypatch.setattr(oracle, "_LADDER_TOL", 0.0)
     record = certify_instance(w0, params, t, probes, quad,
                               terms=("gain", "loss_right"))
@@ -203,8 +201,8 @@ def test_certify_ladder_stops_once_the_budget_is_spent(gentle_instance):
     values are reported, with no error estimate."""
     w0, params, t, quad, grid = (gentle_instance[k] for k in
                                  ("w0", "params", "t", "quad", "grid"))
-    probes = ProbeSet(points=default_probes(grid, params, t).points[:3],
-                      grid=grid, params=params, t=t)
+    probes = ProbeSet(points=default_probes(grid).points[:3],
+                      grid=grid)
     record = certify_instance(w0, params, t, probes, quad, terms=("gain",),
                               budget_s=1e-9)
     entry = record["terms"]["gain"]
@@ -218,7 +216,7 @@ def test_certify_rejects_before_the_fast_path(gentle_instance, monkeypatch):
     rejected before the fast path runs: a d = 3 fast path can allocate TiB."""
     w0, params, t, quad, grid = (gentle_instance[k] for k in
                                  ("w0", "params", "t", "quad", "grid"))
-    probes = default_probes(grid, params, t)
+    probes = default_probes(grid)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the fast path ran")
@@ -236,7 +234,7 @@ def test_certify_rejects_an_unknown_term(gentle_instance, monkeypatch):
     modes and before the oracle runs."""
     w0, params, t, quad, grid = (gentle_instance[k] for k in
                                  ("w0", "params", "t", "quad", "grid"))
-    probes = default_probes(grid, params, t)
+    probes = default_probes(grid)
 
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
@@ -258,8 +256,8 @@ def _warm_cat():
     grid = balanced_grid(spec, 32)
     w0 = make_initial_wigner(spec, grid, boundary_tol=1e-4)
     t = 0.4
-    probes = ProbeSet(points=default_probes(grid, params, t).points[:3],
-                      grid=grid, params=params, t=t)
+    probes = ProbeSet(points=default_probes(grid).points[:3],
+                      grid=grid)
     return w0, params, t, probes
 
 
@@ -325,7 +323,7 @@ def test_light_bath_k_rule_is_converged(gentle_instance, m_e):
     unconverged at the top rung)."""
     w0, t, quad, grid = (gentle_instance[k] for k in ("w0", "t", "quad", "grid"))
     params = replace(gentle_instance["params"], m_e=m_e)
-    probes = default_probes(grid, params, t)
+    probes = default_probes(grid)
     for term in ("gain", "loss_left", "loss_right"):
         assert _k_rule_move(term, w0, params, t, probes, oracle._RUNGS[1]) <= 1e-12, term
     entry = certify_instance(w0, params, t, probes, quad, terms=("gain",))["terms"]["gain"]
@@ -343,7 +341,7 @@ def test_oracle_k_rule_is_converged(gentle_instance, instance):
         w0, t = gentle_instance["w0"], gentle_instance["t"]
         params = replace(gentle_instance["params"],
                          t_env=0.7 if instance == "gentle_warm" else 0.0)
-        probes = default_probes(gentle_instance["grid"], params, t)
+        probes = default_probes(gentle_instance["grid"])
     for rule in oracle._RUNGS[:2]:
         for term in ("gain", "loss_left", "loss_right"):
             move = _k_rule_move(term, w0, params, t, probes, rule)

@@ -44,7 +44,7 @@ def test_cat_wigner_consistent_with_density(cat_spec):
     x = grid.x_nodes
     rho = DensityMatrix(grid=grid, t=0.0,
                         values=density_closed(cat_spec, x[:, None], x[None, :]))
-    w = wigner_from_density(rho, grid)
+    w = wigner_from_density(rho)
     w_ref = wigner_closed(cat_spec, x[:, None], grid.p_nodes[None, :])
     assert np.max(np.abs(w.values - w_ref)) < 1e-12
 
