@@ -542,7 +542,7 @@ def _spectral_sum(tau, jac, wt, h2, h1, h0, k_lo, k_hi, params, n_per):
 
     total = 0.0 + 0.0j
     buf = np.empty(0, dtype=complex)
-    for count in np.unique(panels):
+    for count in np.flatnonzero(np.bincount(panels)):
         n_k = n_per * int(count)
         group = np.flatnonzero(panels == count)
         step = chunk_len(16 * n_inner * n_k)

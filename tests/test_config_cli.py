@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ from wignerbath import QuadratureSpec
 from wignerbath import config as config_module
 from wignerbath.config import parse_config, ConfigError
 from wignerbath.runio import run, write_wigner_csv, emit_plot_data, _atomic_write
+from wignerbath.runio import _render as render_cells
 from wignerbath.cli import main
 
 
@@ -117,6 +119,27 @@ def test_cli_does_not_import_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_runs_do_not_import_numpy_ma_fractions_or_decimal(tmp_path):
+    # an evolve, a transform and a certify run import none of these: the
+    # oracle groups its nodes without np.unique (which imports numpy.ma),
+    # and the CSV renderer's power-of-ten table comes from Python ints
+    code = ("import sys\n"
+            "from wignerbath.config import parse_config\n"
+            "from wignerbath.runio import run\n"
+            "for mode, extra in (('evolve', 'n_x = 32\\ntimes = 0.3\\n'),\n"
+            "                    ('transform', 'n_x = 32\\n'),\n"
+            "                    ('certify', 'n_x = 32\\ntimes = 0.6\\n')):\n"
+            "    cfg = parse_config(f'mode = {mode}\\nlambda_uv = 6\\nworkers = 1\\n'\n"
+            "                       f'{extra}out.dir = {sys.argv[1]}/{mode}\\n')\n"
+            "    assert not run(cfg)['failures'], mode\n"
+            "print(sorted(m for m in ('numpy.ma', 'fractions', 'decimal') if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(config_module.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_negative_time_rejected():
@@ -444,6 +467,82 @@ def test_plot_data_reuses_the_csv_rendering(tmp_path):
     rows = write_wigner_csv(w, str(tmp_path / "w.csv"))
     emit_plot_data(w, str(tmp_path / "t0"), rows)
     assert (tmp_path / "w.csv").read_bytes() == ("\n".join(csv) + "\n").encode()
+    assert (tmp_path / "t0_wigner.dat").read_bytes() == ("\n".join(tri) + "\n").encode()
+
+
+def _rendered(values):
+    """The bytes the CSV renderer lays out for each value, NULs dropped."""
+    return [cell[cell != 0].tobytes()
+            for cell in render_cells(np.asarray(values, dtype=float))]
+
+
+def _from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats() | st.integers(0, 2**64 - 1).map(_from_bits),
+                min_size=1, max_size=40))
+def test_renderer_matches_percent_format(values):
+    assert _rendered(values) == [("%.17g" % v).encode() for v in values]
+
+
+def _hard_values():
+    """Powers of ten and their neighbours, 17-digit ties, integers at the
+    10^16 and 10^17 boundaries, the extremes of the double range, and the
+    non-finite values."""
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+    ints = np.concatenate([np.arange(10**16 - 64, 10**16 + 64),
+                           np.arange(10**17 - 512, 10**17 + 512, 8)]).astype(float)
+    special = [1000000000000000.25, 1000000000000000.75, 5e-324,
+               2.2250738585072014e-308, 1.7976931348623157e308, 0.0, np.inf, np.nan]
+    values = np.concatenate([near, ints, special])
+    return np.concatenate([values, -values])
+
+
+def test_renderer_hard_values():
+    values = _hard_values()
+    assert _rendered(values) == [("%.17g" % v).encode() for v in values.tolist()]
+    # exact ties at the 17th digit round half to even, as FMT does
+    assert _rendered([1000000000000000.25, 1000000000000000.75, -0.0, np.inf, np.nan]) == [
+        b"1000000000000000.2", b"1000000000000000.8", b"-0", b"inf", b"nan"]
+
+
+def test_files_render_hard_values_exactly(tmp_path):
+    """A d = 3 CSV and the d = 1 plot files holding the finite hard values
+    are the bytes of an independent per-value %.17g rendering."""
+    from wignerbath import PhaseSpaceGrid, WignerFunction, marginals
+    hard = _hard_values()
+    hard = hard[np.isfinite(hard)]
+    rng = np.random.default_rng(3)
+
+    def f(v):
+        return "%.17g" % float(v)
+
+    grid = PhaseSpaceGrid(d=3, n_x=8, dx=0.37, x_min=-0.5)
+    flat = rng.standard_normal((512, 512)) * 10.0 ** rng.integers(-20, 20, (512, 512))
+    flat.flat[:hard.size] = hard
+    w = WignerFunction(grid=grid, t=0.0, values=flat.reshape(grid.value_shape()))
+    write_wigner_csv(w, str(tmp_path / "w3.csv"))
+    csv = ["xflat\\pflat," + ",".join(str(j) for j in range(512))]
+    csv += [f"{i}," + ",".join(f(v) for v in row) for i, row in enumerate(flat)]
+    assert (tmp_path / "w3.csv").read_bytes() == ("\n".join(csv) + "\n").encode()
+
+    grid = PhaseSpaceGrid(d=1, n_x=64, dx=0.37, x_min=-11.3)
+    vals = flat.reshape(-1)[:64 * 64].reshape(64, 64).copy()
+    vals[np.abs(vals) > 1e200] = 1e200    # marginals that do not overflow
+    w = WignerFunction(grid=grid, t=0.0, values=vals)
+    emit_plot_data(w, str(tmp_path / "t0"))
+    x, p = grid.x_nodes, grid.p_nodes
+    pos, mom = marginals(w)
+    mar = ["# x  position_marginal  p  momentum_marginal"]
+    mar += [f"{f(x[i])} {f(pos[i])} {f(p[i])} {f(mom[i])}" for i in range(64)]
+    assert (tmp_path / "t0_marginals.dat").read_bytes() == ("\n".join(mar) + "\n").encode()
+    tri = []
+    for i in range(64):
+        tri += [f"{f(x[i])} {f(p[j])} {f(vals[i, j])}" for j in range(64)]
+        tri.append("")
     assert (tmp_path / "t0_wigner.dat").read_bytes() == ("\n".join(tri) + "\n").encode()
 
 

@@ -1013,3 +1013,20 @@ def test_static_source_limit(monkeypatch, separation):
                 with monkeypatch.context() as patch:
                     patch.setattr(evolution, name, mutant)
                     assert error(1e6) > 1e-6, (backend, name, mutant)
+
+
+@settings(max_examples=12, deadline=None)
+@given(n_x=st.sampled_from((16, 24, 32)), x0=st.floats(-0.5, 0.5),
+       p0=st.floats(-0.3, 0.0), sigma=st.floats(0.8, 1.2),
+       t_env=st.sampled_from((0.0, 0.7)))
+def test_fast_gain_is_real_for_gaussians(n_x, x0, p0, sigma, t_env):
+    """The gain term of a Gaussian on its balanced 16- to 32-node grid (in
+    these ranges each passes the box check) has an imaginary part of at
+    most 1e-13 of its largest value, vacuum or warm: the fast path keeps
+    the gain real to rounding, not only the full correction."""
+    spec = InitialStateSpec(kind="gaussian", x0=(x0,), p0=(p0,), sigma=sigma)
+    grid = balanced_grid(spec, n_x)
+    w0 = make_initial_wigner(spec, grid, boundary_tol=1e-4)
+    params = ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=6.0, t_env=t_env)
+    gain, _ = _second_order(w0, params, 0.6, QuadratureSpec(n_k=16), terms=("gain",))["gain"]
+    assert np.max(np.abs(gain.imag)) <= 1e-13 * np.max(np.abs(gain))

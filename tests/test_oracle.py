@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from wignerbath import (InitialStateSpec, ModelParams, SpacetimePoint,
@@ -346,3 +347,23 @@ def test_oracle_k_rule_is_converged(gentle_instance, instance):
         for term in ("gain", "loss_left", "loss_right"):
             move = _k_rule_move(term, w0, params, t, probes, rule)
             assert move <= 1e-12, (rule, term, move)
+
+
+@settings(max_examples=8, deadline=None)
+@given(n_x=st.sampled_from((16, 24, 32)), x0=st.floats(-0.5, 0.5),
+       p0=st.floats(-0.3, 0.0), sigma=st.floats(0.8, 1.2),
+       t_env=st.sampled_from((0.0, 0.7)))
+def test_oracle_losses_are_mirror_images(n_x, x0, p0, sigma, t_env):
+    """The oracle evaluates loss_right on its own, and at rung (12, 6) it is
+    conj(loss_left) to 1e-13 of the largest value at the probes, for a
+    Gaussian on its balanced 16- to 32-node grid (in these ranges each
+    passes the box check), vacuum or warm: the identity the fast path takes
+    loss_right from."""
+    spec = InitialStateSpec(kind="gaussian", x0=(x0,), p0=(p0,), sigma=sigma)
+    grid = balanced_grid(spec, n_x)
+    w0 = make_initial_wigner(spec, grid, boundary_tol=1e-4)
+    params = ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=6.0, t_env=t_env)
+    probes = default_probes(grid)
+    left, right = (oracle_diagram(term, w0, params, 0.6, probes, n_lambda=12, n_inner=6)[0]
+                   for term in ("loss_left", "loss_right"))
+    assert np.max(np.abs(right - np.conj(left))) <= 1e-13 * np.max(np.abs(left))
