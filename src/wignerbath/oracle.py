@@ -16,10 +16,17 @@ momentum-space reduction that powers the production path:
     spectral component e^{ik eta} of the bath propagator, then the bath
     momentum k by quadrature, and the two times by quadrature after the
     substitution tau = lambda^2 that removes the |t1 - t2|^{-1/2} Fresnel
-    ridge of the integrand.
+    ridge of the integrand;
+  * all probes in one pass: the eta-quadratic's linear coefficient is affine
+    in the probe (x, p) and its quadratic one does not depend on it, so on a
+    lattice of probe nodes each k node's exponential factors into one
+    exponential at the lattice corner times integer powers of one per
+    lattice axis: three complex exps per (tau, time node, k) for a 3 x 3
+    probe lattice, not nine, and one small matmul per (tau, time node).
 
-The k rule is sized per tau from its integrand (`_k_panels`): Gauss panels
-as narrow as the closed form's phase chirp asks for, with k = 0 a panel
+The k rule is sized per tau from its integrand (`_k_panels`), one rule for
+all probes: Gauss panels over the union of their k ranges, as narrow as the
+closed form's phase chirp asks for at the finest probe, with k = 0 a panel
 edge and panels graded geometrically toward it on the scale of m_e, so
 that none is long next to the branch points of the bath's 1/w at
 k = +-i m_e.  The losses' symmetric range takes an even count, two at the
@@ -39,8 +46,9 @@ agree to _LADDER_TOL at every probe; their difference is the oracle's error
 estimate, as QUADPACK estimates its error by comparing two rules.  Where the
 cheap rules disagree the ladder ends at oracle_diagram's default rule.
 
-Certification instances are small by construction; a runtime budget returns
-partial results with per-probe status rather than running over.
+Certification instances are small by construction; a runtime budget,
+checked before each pass over the probes, returns partial results with
+per-probe status rather than running over.
 """
 
 from dataclasses import dataclass
@@ -55,6 +63,7 @@ from .wigner import signed_mode_numbers
 
 DEFAULT_EPS = (1e-2, 1e-3, 1e-4)   # contour regulators, relative to the scale
 _PROBE_SIDE = 3             # the default probes are a 3 x 3 sub-lattice
+_NODE_TOL = 1e-9            # a probe this close to a node, in spacings, is on it
 _CERTIFY_REL_TOL = 1e-5     # probe agreement that passes whatever the estimates
 # oracle rules (n_lambda, n_inner) that certification climbs, cheapest
 # first; the last one is oracle_diagram's default.  Where the ladder climbs
@@ -64,6 +73,7 @@ _RUNGS = ((12, 6), (20, 18), (28, 24))
 _LADDER_TOL = 1e-3 * _CERTIFY_REL_TOL   # two rungs that agree this well end it
 _ENVELOPE_NATS = 40.0       # the gain's k range: its envelope down by e^-40
 _GRADE = 6.0                # k panel edges at 0 and +-m_e _GRADE^j, j >= 1
+_COEFF_ARRAYS = 12          # (taus, time nodes) arrays per point in the xi integral
 
 
 # ---------------------------------------------------------------------------
@@ -164,14 +174,17 @@ def _sigma_t(sigma, m, t):
 
 @dataclass(frozen=True)
 class ProbeSet:
-    """Phase-space probe points on the grid they were taken from."""
+    """Phase-space probe points on nodes of the grid they were taken from.
+
+    The fast path has values only on the nodes, so a point off them is
+    rejected; one within _NODE_TOL of a spacing is taken as its node.
+    """
 
     points: tuple
     grid: PhaseSpaceGrid
 
     def __post_init__(self):
         pts = tuple((float(x), float(p)) for x, p in self.points)
-        object.__setattr__(self, "points", pts)
         if not (3 <= len(pts) <= 25):
             raise ValueError("probe sets carry between 3 and 25 points")
         g = self.grid
@@ -179,6 +192,23 @@ class ProbeSet:
             if not (g.x_nodes[0] <= x <= g.x_nodes[-1]
                     and g.p_nodes[0] <= p <= g.p_nodes[-1]):
                 raise ValueError(f"probe ({x}, {p}) lies outside the grid box")
+        snapped = tuple((float(g.x_nodes[i]), float(g.p_nodes[j]))
+                        for i, j in _nearest_nodes(pts, g))
+        for (x, p), (xn, pn) in zip(pts, snapped):
+            if abs(x - xn) > _NODE_TOL * g.dx or abs(p - pn) > _NODE_TOL * g.dp:
+                raise ValueError(f"probe ({x}, {p}) is not a grid node")
+        object.__setattr__(self, "points", snapped)
+
+    @property
+    def nodes(self):
+        """Each probe's (x, p) node indices on the grid, an (n, 2) int array."""
+        return _nearest_nodes(self.points, self.grid)
+
+
+def _nearest_nodes(points, grid):
+    """The (x, p) indices of the grid nodes nearest to the points."""
+    offsets = np.array(points) - (grid.x_min, grid.p_nodes[0])
+    return np.rint(offsets / (grid.dx, grid.dp)).astype(int)
 
 
 def default_probes(grid):
@@ -502,50 +532,114 @@ def _k_panels(k_lo, k_hi, width, m_e):
     return mid, 0.5 * length, cuts.reshape(seg.shape).sum(axis=1)
 
 
-def _spectral_sum(tau, jac, wt, h2, h1, h0, k_lo, k_hi, params, n_per):
-    """Time and spectral sums of one component over all tau nodes.
+def _at_points(coeffs, points, n_elems, *args):
+    """coeffs(x, p, *args) at each point in turn, each part of shape (taus,
+    time nodes, 1), from calls on batches of points as (batch, 1, 1, 1)
+    arrays.
 
-    wt (taus, time nodes) holds each tau's time weights times the
-    integrand's prefactor, and h2, h1, h0 (taus, time nodes, 1) its
-    eta-quadratic.  The eta integral is closed per spectral node k,
+    The xi integral holds about _COEFF_ARRAYS (taus, time nodes) arrays per
+    point at its peak, n_elems elements each; a batch keeps them within the
+    chunk budget.
+    """
+    step = chunk_len(16 * _COEFF_ARRAYS * n_elems)
+    for i in range(0, len(points), step):
+        x, p = np.array(points[i:i + step]).T[..., None, None, None]
+        parts = coeffs(x, p, *args)
+        shape = np.broadcast_shapes(*(np.shape(part) for part in parts))
+        for q in range(len(x)):
+            yield tuple(np.broadcast_to(part, shape)[q] for part in parts)
+
+
+def _power_rows(rows, rate, k, exps, ratio):
+    """rows[..., j, :] = rows[..., 0, :] * exp(rate k)**exps[j] for j >= 1.
+
+    exps ascend from exps[0] = 0.  exp(rate k) is taken once, into the
+    buffer `ratio`, and each row is the one before times its power.
+    """
+    if len(exps) > 1:
+        np.multiply(rate, k, out=ratio)
+        np.exp(ratio, out=ratio)
+    for j in range(1, len(exps)):
+        gap = exps[j] - exps[j - 1]
+        np.multiply(rows[..., j - 1, :], ratio if gap == 1 else ratio**gap,
+                    out=rows[..., j, :])
+
+
+def _spectral_sum(tau, jac, tb_w, coeffs, ab, gain, params, n_per):
+    """Time and spectral sums of one component pair at all probes at once.
+
+    `coeffs` yields (pref, h2, h1, h0) of the xi-integrated integrand at
+    the probe lattice's corner r, one lattice step from r along x, one
+    along p, and then at each probe, one point at a time: each of shape
+    (taus, time nodes, 1), such that the integrand before the bath
+    propagator is pref * exp(h2 eta^2 + h1 eta + h0).  h2 is the same at
+    every point and h1 is affine in (x, p).  ab (P, 2) holds each probe's
+    lattice coordinates (a_q, b_q) from r, and tb_w the time weights.  The
+    eta integral is closed per spectral node k,
 
         Int deta exp(h2 eta^2 + (h1 + ik) eta + h0)
             = sqrt(-pi/h2) exp(h0 - c h1^2 - 2i c h1 k + c k^2),  c = 1/(4 h2),
 
     against the bath weight [(1 + n) e^{i w tau} + n e^{-i w tau}]/(2 pi 2 w)
-    at the signed tau, over [k_lo, k_hi] per tau.  The exponent's three
-    coefficients and sqrt(-pi/h2) are built once per (tau, time node), so
-    the (tau, time node, k) array takes one Horner pass and one exp.
+    at the signed tau.  As h1 is affine, probe q's exponential factors as
 
-    The k rule (`_k_panels`) follows the integrand: panels no wider than
-    the phase rates of the closed form ask for over the tau's k range (a
-    quadratic chirp, which steepens near the time-node corners; 1.1 rad of
-    phase per node), with edges at k = 0 and graded toward it on the scale
-    of m_e, where 1/w varies fastest.  Taus that share a panel count are
-    evaluated together, in chunks, each built in place in one buffer for
-    all chunks, so the heap is not refaulted.
+        exp(h0_q - c h1_q^2) E U^{a_q} V^{b_q},   E = exp(c k^2 - 2i c h1_r k),
+
+    where U = exp(-2i c dh1_x k), V = exp(-2i c dh1_p k) and dh1_x, dh1_p
+    are h1's steps along the lattice's two axes.  So a (tau, time node, k)
+    element takes three complex exps whatever the number of probes, not one
+    per probe; the powers are running products.  One (A, K) @ (K, B)
+    matmul per (tau, time node), over the A distinct a_q and B distinct b_q,
+    gives every probe's k sum, and exp(h0_q - c h1_q^2) and sqrt(-pi/h2)
+    join the time weights.  Returns the P sums.
+
+    The probes share one k rule per tau (`_k_panels`): over the union of
+    their k ranges (the gain's envelopes, `_gain_k_window`, or all of
+    [-lambda, lambda] for the losses), with panels as narrow as the finest
+    probe's phase rates ask for (a quadratic chirp, which steepens near
+    the time-node corners; 1.1 rad of phase per node), with edges at k = 0
+    and graded toward it on the scale of m_e, where 1/w varies fastest.
+    Taus that share a panel count are evaluated together, in chunks sized
+    on all their live (tau, time node, k) arrays (A + B power rows and the
+    ratio), all built in place in one buffer for all chunks, so the heap is
+    not refaulted.
     """
-    n_inner = wt.shape[1]
-    c = 1.0 / (4.0 * h2)
-    lin = -2j * c * h1
-    const = h0 - c * h1 * h1
-    wt = wt * np.sqrt(-np.pi / h2[..., 0])
-    rate_lin = np.max(np.abs(h1 / (2.0 * h2)), axis=(1, 2))
-    rate_quad = np.max(np.abs(c), axis=(1, 2))
-    # quadratic chirp: budget panels for the edge-local frequency
-    local_rate = 2.0 * np.maximum(np.abs(k_lo), np.abs(k_hi)) * rate_quad + rate_lin
-    phase = (k_hi - k_lo) * local_rate + 2.0 * np.pi
-    mid, half, panels = _k_panels(k_lo, k_hi, (k_hi - k_lo) * 1.1 * n_per / phase,
-                                  params.m_e)
+    lam_uv = params.lambda_uv
+    basis, wt, widths, k_lo, k_hi = [], [], [], [], []
+    for pref, h2, h1, h0 in coeffs:
+        c = 1.0 / (4.0 * h2)        # as h2, the same at every point
+        if len(basis) < 3:
+            basis.append(-2j * c * h1)
+            continue
+        wt.append(tb_w * (pref * np.sqrt(-np.pi / h2) * np.exp(h0 - c * h1 * h1))[..., 0])
+        lo, hi = (_gain_k_window(h2, h1, lam_uv) if gain
+                  else (np.full(tau.shape, -lam_uv), np.full(tau.shape, lam_uv)))
+        # quadratic chirp: budget panels for the edge-local frequency
+        local_rate = (2.0 * np.maximum(np.abs(lo), np.abs(hi)) * np.max(np.abs(c), axis=(1, 2))
+                      + np.max(np.abs(h1 / (2.0 * h2)), axis=(1, 2)))
+        phase = (hi - lo) * local_rate + 2.0 * np.pi
+        widths.append((hi - lo) * 1.1 * n_per / phase)
+        k_lo.append(lo)
+        k_hi.append(hi)
+    lin_r, lin_x, lin_p = basis[0], basis[1] - basis[0], basis[2] - basis[0]
+    wt = np.array(wt)
+    n_inner = wt.shape[2]
+    mid, half, panels = _k_panels(np.min(k_lo, axis=0), np.max(k_hi, axis=0),
+                                  np.min(widths, axis=0), params.m_e)
     first = np.cumsum(panels) - panels
     base_x, base_w = legendre_rule(n_per)
+    a_exps, b_exps = (sorted(set(ab[:, i].tolist())) for i in (0, 1))
+    a_of, b_of = np.searchsorted(a_exps, ab[:, 0]), np.searchsorted(b_exps, ab[:, 1])
+    n_a, n_b = len(a_exps), len(b_exps)
 
-    total = 0.0 + 0.0j
+    total = np.zeros(len(ab), dtype=complex)
     buf = np.empty(0, dtype=complex)
     for count in np.flatnonzero(np.bincount(panels)):
         n_k = n_per * int(count)
         group = np.flatnonzero(panels == count)
-        step = chunk_len(16 * n_inner * n_k)
+        # (A + B + 12) rows per tau: the A + B + 1 live rows take under half
+        # the chunk budget; fuller chunks raised the peak heap, not the speed
+        step = chunk_len(16 * n_inner * n_k * (n_a + n_b + 12))
         for i in range(0, group.size, step):
             b = group[i:i + step]
             rows = first[b, None] + np.arange(count)
@@ -557,16 +651,25 @@ def _spectral_sum(tau, jac, wt, h2, h1, h0, k_lo, k_hi, params, n_per):
             meas = (((1.0 + occ) * fwd + occ * np.conj(fwd))
                     / (2.0 * np.pi * 2.0 * omega) * kw)
             size = len(b) * n_inner * n_k
-            buf = buf if buf.size >= size else np.empty(size, dtype=complex)
-            val = buf[:size].reshape(len(b), n_inner, n_k)
+            if buf.size < (n_a + n_b + 1) * size:
+                buf = np.empty((n_a + n_b + 1) * size, dtype=complex)
+            left, right, ratio = np.split(buf[:(n_a + n_b + 1) * size],
+                                          (n_a * size, (n_a + n_b) * size))
+            left = left.reshape(len(b), n_inner, n_a, n_k)
+            right = right.reshape(len(b), n_inner, n_b, n_k)
+            ratio = ratio.reshape(len(b), n_inner, n_k)
             k3 = kq[:, None, :]
-            np.multiply(c[b], k3, out=val)
-            val += lin[b]
-            val *= k3
-            val += const[b]
-            np.exp(val, out=val)
-            per_t = (val @ meas[..., None])[..., 0]
-            total += jac[b] @ np.sum(wt[b] * per_t, axis=1)
+            e = left[..., 0, :]
+            np.multiply(c[b], k3, out=e)
+            e += lin_r[b]
+            e *= k3
+            np.exp(e, out=e)
+            e *= meas[:, None, :]
+            _power_rows(left, lin_x[b], k3, a_exps, ratio)
+            right[..., 0, :] = 1.0
+            _power_rows(right, lin_p[b], k3, b_exps, ratio)
+            per_t = (left @ right.swapaxes(-1, -2))[..., a_of, b_of]
+            total += np.sum(wt[:, b] * np.moveaxis(per_t, -1, 0), axis=2) @ jac[b]
     return total
 
 
@@ -577,21 +680,27 @@ def oracle_diagram(term_id, w0, params, t, probes, n_lambda=28, n_inner=24,
     Requires a d = 1 closed-form initial state (the oracle integrates the
     true packets, not grid samples).  Returns (values, status): values are
     complex (the two loss terms are individually complex, their sum is
-    real), and each probe's status is "ok", or "budget_exceeded" for a
-    probe not started because budget_s had run out.  One rule carries no
-    error estimate; `certify_instance` gets one by comparing rules.
+    real), and each probe's status is "ok", or "budget_exceeded" when
+    budget_s had run out before one of the term's passes (one per pair of
+    packet components) started: each pass covers every probe, so then none
+    has a value.  One rule carries no error estimate; `certify_instance`
+    gets one by comparing rules.
 
     The tau = +-lambda^2 nodes (n_lambda of them per sign for the gain term,
     12 per panel on max(12, n_lambda) panels for the loss terms) are
-    evaluated as arrays, not one by one, through `_spectral_sum`: each
-    keeps its own n_inner-node time rule (on [|tau|/2, t - |tau|/2] for the
-    gain's mean time, on [0, t - tau] for the losses' earlier vertex) and
-    its own k range and k panels (graded toward k = 0 on the scale of m_e,
-    and as narrow as the phase chirp asks for: `_k_panels`; nodes are
-    grouped by panel count, never padded).  Each group runs in chunks whose
-    largest complex array, (taus, time nodes, k nodes), stays within the
-    chunk budget (`propagators.chunk_len`) unless one node alone exceeds
-    it; the batching changes only the summation order.
+    evaluated as arrays, not one by one, through `_spectral_sum`, and so are
+    the probes: the eta-quadratic's h1 is affine in the probe (x, p) and
+    the probes lie on a lattice of grid nodes (its steps the gcd of their
+    node offsets), so each (tau, time node, k) element takes three complex
+    exps for all probes.  Each tau keeps its own n_inner-node time rule (on
+    [|tau|/2, t - |tau|/2] for the gain's mean time, on [0, t - tau] for the
+    losses' earlier vertex) and one k rule for all probes (graded toward
+    k = 0 on the scale of m_e, and as narrow as the finest probe's phase
+    chirp asks for: `_k_panels`; taus are grouped by panel count, never
+    padded).  Each group runs in chunks sized on their live arrays
+    (`propagators.chunk_len`) unless one tau alone exceeds the budget; the
+    batching changes only the summation order.  The zeroth term, closed
+    form and cheap, is summed probe by probe.
     """
     if term_id not in ("zeroth", "gain", "loss_left", "loss_right"):
         raise ValueError(f"unknown term {term_id!r}")
@@ -607,9 +716,9 @@ def oracle_diagram(term_id, w0, params, t, probes, n_lambda=28, n_inner=24,
     sig = spec.sigma
     comps = state_components(spec)
     start = time.time()
-    values, status = [], []
 
     if term_id == "zeroth":
+        values = []
         st = _sigma_t(sig, m, t)
         drift = max(abs(p) for _, p in probes.points) * t / m + abs(spec.p0[0]) * t / m
         span = 2.0 * (abs(spec.x0[0]) + spec.separation / 2.0 + 8.0 * st
@@ -632,14 +741,12 @@ def oracle_diagram(term_id, w0, params, t, probes, n_lambda=28, n_inner=24,
                                   + np.conj(c0j) + 1j * p * yn))
                     total += np.sum(yw * f)
             values.append(total / (2.0 * np.pi))
-            status.append({"status": "ok"})
-        return np.array(values), status
+        return np.array(values), [{"status": "ok"} for _ in probes.points]
 
     if t == 0.0:
         vals = np.zeros(len(probes.points), dtype=complex)
         return vals, [{"status": "ok"} for _ in probes.points]
 
-    lam_uv = params.lambda_uv
     if term_id == "gain":
         # tau = t1 - t2 = +-lambda^2, t1,2 = tb +- tau/2
         lam_nodes, lam_w = gauss_panels(0.0, np.sqrt(t), n_lambda, 1)
@@ -647,6 +754,10 @@ def oracle_diagram(term_id, w0, params, t, probes, n_lambda=28, n_inner=24,
         jac = np.tile(2.0 * lam_nodes * lam_w, 2)
         tb, tb_w = gauss_panels(np.abs(tau) / 2.0, t - np.abs(tau) / 2.0, n_inner, 1)
         bath_tau = tau
+
+        def coeffs(x, p, ci, cj):
+            return _gain_eta_coeffs(x, p, t, tb + tau[:, None] / 2.0,
+                                    tb - tau[:, None] / 2.0, params, spec, ci, cj)
     else:
         # the bath correlation's log(tau) layer between 1/lambda_uv and
         # 1/m_e needs composite lambda panels; tau = |t1 - t2| > 0, the
@@ -656,34 +767,34 @@ def oracle_diagram(term_id, w0, params, t, probes, n_lambda=28, n_inner=24,
         keep = t - lam_g**2 > 0.0
         tau, jac = lam_g[keep]**2, 2.0 * lam_g[keep] * lam_gw[keep]
         tb, tb_w = gauss_panels(0.0, t - tau, n_inner, 1)
-        k_lo, k_hi = np.full(tau.shape, -lam_uv), np.full(tau.shape, lam_uv)
         bath_tau = -tau if left else tau
+
+        def coeffs(x, p, ci, cj):
+            return _loss_eta_coeffs(x, p, t, tau[:, None], tb, params, spec, ci, cj, left)
     # the spectral integral needs high per-panel order for its quadratic chirp
     n_per = max(40, 2 * n_inner)
 
-    for x, p in probes.points:
-        if time.time() - start > budget_s:
-            values.append(np.nan + 0.0j)
-            status.append({"status": "budget_exceeded"})
-            continue
-        total = 0.0 + 0.0j
-        for amp_i, ci in comps:
-            for amp_j, cj in comps:
-                if term_id == "gain":
-                    pref, h2, h1, h0 = _gain_eta_coeffs(
-                        x, p, t, tb + tau[:, None] / 2.0, tb - tau[:, None] / 2.0,
-                        params, spec, ci, cj)
-                    k_lo, k_hi = _gain_k_window(h2, h1, lam_uv)
-                else:
-                    pref, h2, h1, h0 = _loss_eta_coeffs(x, p, t, tau[:, None], tb,
-                                                        params, spec, ci, cj, left)
-                part = _spectral_sum(bath_tau, jac, tb_w * pref[..., 0], h2, h1, h0,
-                                     k_lo, k_hi, params, n_per)
-                total += amp_i * np.conj(amp_j) * part
-        values.append(total)
-        status.append({"status": "ok"})
+    # the probes as a lattice: its corner node r, the gcd of the node
+    # offsets from r as its steps, and each probe's coordinates on it
+    grid = probes.grid
+    nodes = probes.nodes
+    corner = nodes.min(axis=0)
+    steps = np.maximum(np.gcd.reduce(nodes - corner, axis=0), 1)
+    ab = (nodes - corner) // steps
+    xr, pr = grid.x_nodes[corner[0]], grid.p_nodes[corner[1]]
+    points = [(xr, pr), (xr + steps[0] * grid.dx, pr), (xr, pr + steps[1] * grid.dp),
+              *probes.points]
 
-    return np.array(values), status
+    total = np.zeros(len(probes.points), dtype=complex)
+    for amp_i, ci in comps:
+        for amp_j, cj in comps:
+            if time.time() - start > budget_s:
+                return (np.full(len(probes.points), np.nan + 0.0j),
+                        [{"status": "budget_exceeded"} for _ in probes.points])
+            total += amp_i * np.conj(amp_j) * _spectral_sum(
+                bath_tau, jac, tb_w, _at_points(coeffs, points, tb.size, ci, cj), ab,
+                term_id == "gain", params, n_per)
+    return total, [{"status": "ok"} for _ in probes.points]
 
 
 def certify_instance(w0, params, t, probes, quad, terms=("gain", "loss_left",
@@ -719,8 +830,6 @@ def certify_instance(w0, params, t, probes, quad, terms=("gain", "loss_left",
     if params.d != 1:
         raise ValueError("certification is restricted to d = 1, as the oracle is")
     grid = probes.grid
-    ix = [int(round((x - grid.x_min) / grid.dx)) for x, _ in probes.points]
-    ip = [int(round((p - grid.p_nodes[0]) / grid.dp)) for _, p in probes.points]
     record = {
         "instance": {
             "d": params.d, "m_s": params.m_s, "m_e": params.m_e,
@@ -740,7 +849,7 @@ def certify_instance(w0, params, t, probes, quad, terms=("gain", "loss_left",
         (rep["k_nodes"] for _, rep in second.values()), default=0)
     for term in terms:
         fast, rep = second[term]
-        fvals = np.array([fast[i, j] for i, j in zip(ix, ip)])
+        fvals = fast[tuple(probes.nodes.T)]
         orc = np.full(len(fvals), np.nan)
         for rungs, (n_lambda, n_inner) in enumerate(_RUNGS, 1):
             lower = orc

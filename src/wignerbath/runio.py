@@ -5,8 +5,9 @@ Every data file is written atomically (a uniquely named temp file in the
 target directory + rename, so two runs into one directory never share a
 temp file) and contains no timestamps, so identical configurations produce
 byte-identical files; the manifest inventories each file with its SHA-256
-checksum and is written last.  The process exit status is nonzero iff any
-diagnostic exceeded its tolerance or a quadrature flagged failure.
+checksum and size, taken as the file is written, and is written last.  The
+process exit status is nonzero iff any diagnostic exceeded its tolerance or
+a quadrature flagged failure.
 
 Every number in a CSV or plot file is written with FMT ("%.17g": 17
 significant digits, enough to read each double back exactly).  `_render`
@@ -244,35 +245,36 @@ def _render(values):
     return cells.take(np.flatnonzero(used), axis=1).reshape(values.shape + (-1,))
 
 
-def _atomic_write(path, data):
-    """Write `data` (a str, bytes, or an iterable of bytes blocks written one
-    by one) through a uniquely named temp file beside `path`, then rename.
+def _atomic_write(path, data, files=None):
+    """Write `data` (a str, encoded as UTF-8, bytes, or an iterable of bytes
+    blocks written one by one) through a uniquely named temp file beside
+    `path`, then rename.
 
-    Exclusive creation ("x") gives the temp file the permissions a plain
-    open() would, so the final file's mode follows the umask as before; the
-    temp file is removed if the write or the rename fails.
+    If `files` is given, the file's manifest entry {"path": basename,
+    "sha256": ..., "bytes": ...} is appended to it, hashed and counted as
+    the bytes are written, so nothing is read back.  Exclusive creation
+    ("x") gives the temp file the permissions a plain open() would, so the
+    final file's mode follows the umask as before; the temp file is removed
+    if the write or the rename fails.
     """
+    if isinstance(data, str):
+        data = data.encode()
+    digest, size = hashlib.sha256(), 0
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
-    fh = open(tmp, "x" if isinstance(data, str) else "xb")
+    fh = open(tmp, "xb")
     try:
         with fh:
-            if isinstance(data, (str, bytes)):
-                fh.write(data)
-            else:
-                for block in data:
-                    fh.write(block)
+            for block in (data,) if isinstance(data, bytes) else data:
+                fh.write(block)
+                digest.update(block)
+                size += len(block)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
-
-
-def _sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    if files is not None:
+        files.append({"path": os.path.basename(path), "sha256": digest.hexdigest(),
+                      "bytes": size})
 
 
 def _cat(shape, *parts):
@@ -301,14 +303,15 @@ def _seps(n, sep, end):
 _COMMA, _SPACE, _NEWLINE = (np.frombuffer(c, np.uint8) for c in (b",", b" ", b"\n"))
 
 
-def write_wigner_csv(w, path):
+def write_wigner_csv(w, path, files=None):
     """Grid CSV: one row per x node, columns are p nodes, coordinates in the
     header; flattened lexicographically for d > 1, where the coordinates are
     the flat indices.
 
     Each value is written as FMT renders it, by `_render` (see the module
     docstring), in blocks of `_ROWS` rows.  Returns the rendered cells of
-    W, which `emit_plot_data` can reuse.
+    W, which `emit_plot_data` can reuse; the file's manifest entry is
+    appended to `files` if given (see `_atomic_write`).
     """
     grid = w.grid
     n = grid.n_x**grid.d
@@ -327,17 +330,19 @@ def write_wigner_csv(w, path):
             body = _cat(rows.shape[:2], rows, seps).reshape(len(rows), -1)
             yield _text(_cat((len(rows),), coords[r:r + _ROWS], _COMMA, body))
 
-    _atomic_write(path, blocks())
+    _atomic_write(path, blocks(), files)
     return cells
 
 
-def emit_plot_data(w, stem, rows=None):
+def emit_plot_data(w, stem, rows=None, files=None):
     """Gnuplot-ready (x, p, W) triplets plus marginal curves (d = 1).
 
     Byte-stable across reruns of the same configuration.  Values are
     written as FMT renders them, by `_render` (see the module docstring):
     each coordinate once per node, and W once per call, or not at all when
     `rows` holds the cells `write_wigner_csv` rendered for the same W.
+    Returns the two paths; their manifest entries are appended to `files`
+    if given.
     """
     grid = w.grid
     if grid.d != 1:
@@ -356,13 +361,14 @@ def emit_plot_data(w, stem, rows=None):
                              _SPACE, block, ends))
 
     tri_path = stem + "_wigner.dat"
-    _atomic_write(tri_path, blocks())
+    _atomic_write(tri_path, blocks(), files)
 
     pos, mom = marginals(w)
     lines = _cat((len(xs),), xs, _SPACE, _render(pos), _SPACE, ps, _SPACE,
                  _render(mom), _NEWLINE)
     mar_path = stem + "_marginals.dat"
-    _atomic_write(mar_path, b"# x  position_marginal  p  momentum_marginal\n" + _text(lines))
+    _atomic_write(mar_path, b"# x  position_marginal  p  momentum_marginal\n" + _text(lines),
+                  files)
     return [tri_path, mar_path]
 
 
@@ -403,10 +409,7 @@ def run(config):
         if failed:
             manifest["failures"].append(failed)
         manifest["ended_unix"] = time.time()
-        manifest["files"] = [
-            {"path": os.path.basename(p), "sha256": _sha256(p),
-             "bytes": os.path.getsize(p)} for p in files
-        ]
+        manifest["files"] = files
         man_path = os.path.join(config.out_dir, "manifest.json")
         _atomic_write(man_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         return manifest
@@ -421,15 +424,13 @@ def run(config):
         if config.mode == "observables":
             path = os.path.join(config.out_dir, "observables.json")
             _atomic_write(path, json.dumps(_obs_payload(w0), indent=2,
-                                           sort_keys=True) + "\n")
-            files.append(path)
+                                           sort_keys=True) + "\n", files)
 
         elif config.mode == "transform":
             rho = density_from_wigner(w0)
             w_back = wigner_from_density(rho)
             path = os.path.join(config.out_dir, "wigner_t0.csv")
-            rows = write_wigner_csv(w_back, path)
-            files.append(path)
+            rows = write_wigner_csv(w_back, path, files)
             trace = rho.trace()
             sidecar = {
                 "observables": _obs_payload(w_back),
@@ -438,11 +439,10 @@ def run(config):
                 "hermiticity_defect": rho.hermiticity_defect(),
             }
             path = os.path.join(config.out_dir, "wigner_t0.json")
-            _atomic_write(path, json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
-            files.append(path)
+            _atomic_write(path, json.dumps(sidecar, indent=2, sort_keys=True) + "\n",
+                          files)
             if config.plot_data and config.grid.d == 1:
-                files.extend(emit_plot_data(
-                    w_back, os.path.join(config.out_dir, "t0"), rows))
+                emit_plot_data(w_back, os.path.join(config.out_dir, "t0"), rows, files)
 
         elif config.mode == "evolve":
             for it, t in enumerate(config.times):
@@ -450,8 +450,7 @@ def run(config):
                                 backend=config.backend, workers=config.workers)
                 tag = f"t{it}"
                 path = os.path.join(config.out_dir, f"wigner_{tag}.csv")
-                rows = write_wigner_csv(result.w_total, path)
-                files.append(path)
+                rows = write_wigner_csv(result.w_total, path, files)
                 diag = dict(result.diagnostics)
                 sidecar = {
                     "time": t,
@@ -460,8 +459,7 @@ def run(config):
                 }
                 path = os.path.join(config.out_dir, f"wigner_{tag}.json")
                 _atomic_write(path, json.dumps(sidecar, indent=2,
-                                               sort_keys=True) + "\n")
-                files.append(path)
+                                               sort_keys=True) + "\n", files)
                 manifest["diagnostics"][tag] = {
                     "time": t,
                     "trace_defect_g2": diag["trace_defect_g2"],
@@ -476,8 +474,8 @@ def run(config):
                     manifest["failures"].append(f"{tag}: correction exceeds the "
                                                 "30% perturbativity guard")
                 if config.plot_data and config.grid.d == 1:
-                    files.extend(emit_plot_data(
-                        result.w_total, os.path.join(config.out_dir, tag), rows))
+                    emit_plot_data(result.w_total, os.path.join(config.out_dir, tag),
+                                   rows, files)
 
         elif config.mode == "certify":
             t, = config.times
@@ -486,8 +484,7 @@ def run(config):
                                       backend=config.backend)
             path = os.path.join(config.out_dir, "certification.json")
             _atomic_write(path, json.dumps(record, indent=2, sort_keys=True,
-                                           default=str) + "\n")
-            files.append(path)
+                                           default=str) + "\n", files)
             manifest["diagnostics"]["certification"] = {
                 "all_passed": record["all_passed"],
                 "runtime_s": record["runtime_s"],

@@ -399,6 +399,24 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
             == os.stat(tmp_path / "plain").st_mode & 0o777)
 
 
+def test_atomic_write_hashes_what_it_writes(tmp_path):
+    """The manifest entry of a str (UTF-8), a bytes and a block-by-block
+    write carries the SHA-256 and size of the file on disk; a failed write
+    adds none."""
+    import hashlib
+    files = []
+    path = str(tmp_path / "data.txt")
+    for data in ("grüße\n", b"\x00\xff raw", iter([b"one,", b"", b"two\n"])):
+        _atomic_write(path, data, files)
+        disk = (tmp_path / "data.txt").read_bytes()
+        assert files[-1] == {"path": "data.txt", "sha256": hashlib.sha256(disk).hexdigest(),
+                             "bytes": len(disk)}
+    assert disk == b"one,two\n" and len(files) == 3
+    with pytest.raises(TypeError):
+        _atomic_write(path, 123, files)
+    assert len(files) == 3
+
+
 def _planted_wigner(d, n=8):
     from wignerbath import PhaseSpaceGrid, WignerFunction
     grid = PhaseSpaceGrid(d=d, n_x=n, dx=0.37, x_min=-1.3)

@@ -367,3 +367,76 @@ def test_oracle_losses_are_mirror_images(n_x, x0, p0, sigma, t_env):
     left, right = (oracle_diagram(term, w0, params, 0.6, probes, n_lambda=12, n_inner=6)[0]
                    for term in ("loss_left", "loss_right"))
     assert np.max(np.abs(right - np.conj(left))) <= 1e-13 * np.max(np.abs(left))
+
+
+def test_probe_sets_off_the_grid_nodes_are_rejected(gauss_spec):
+    """A probe between grid nodes is rejected by name: the fast path has
+    values only on the nodes, where certification reads them.  A probe
+    within rounding of a node is taken as that node."""
+    grid = balanced_grid(gauss_spec, 16)
+    x, p = grid.x_nodes, grid.p_nodes
+    for off in ((x[8] + 0.5 * grid.dx, p[8]), (x[8], p[8] + 0.25 * grid.dp)):
+        with pytest.raises(ValueError, match=r"probe \(.*\) is not a grid node"):
+            ProbeSet(points=((x[8], p[8]), (x[9], p[8]), off), grid=grid)
+    near = ProbeSet(points=((x[8], p[8]), (x[9] + 1e-12 * grid.dx, p[8]),
+                            (x[8], p[9] - 1e-12 * grid.dp)), grid=grid)
+    assert near.points == ((x[8], p[8]), (x[9], p[8]), (x[8], p[9]))
+    assert near.nodes.tolist() == [[8, 8], [9, 8], [8, 9]]
+
+
+def _layout_instance(gentle_instance, instance):
+    """The instance's data with its full 3 x 3 default probe lattice."""
+    if instance == "warm_cat":
+        w0, params, t, probes = _warm_cat()
+    else:
+        w0, params, t = (gentle_instance[k] for k in ("w0", "params", "t"))
+        probes = default_probes(gentle_instance["grid"])
+    return w0, params, t, default_probes(probes.grid)
+
+
+@pytest.mark.parametrize("instance", ("gentle", "warm_cat"))
+def test_oracle_values_do_not_depend_on_the_probe_layout(gentle_instance, instance):
+    """At rung (12, 6) each probe's value is the same, to 1e-12 relative,
+    from the full 3 x 3 lattice, from its first three points (one lattice
+    axis), from its diagonal (points[::4]: no probe one step along a single
+    axis from another) and from the nine points in a permuted order.  The
+    probes of one call share a k rule, so a subset's rule differs, but
+    within the rule's own convergence."""
+    w0, params, t, probes = _layout_instance(gentle_instance, instance)
+    pts = probes.points
+    order = np.random.default_rng(3).permutation(len(pts))
+    layouts = {"first": np.arange(3), "diagonal": np.arange(0, 9, 4), "permuted": order}
+    for term in ("gain", "loss_left", "loss_right"):
+        full, _ = oracle_diagram(term, w0, params, t, probes, n_lambda=12, n_inner=6)
+        for name, idx in layouts.items():
+            sub = ProbeSet(points=[pts[i] for i in idx], grid=probes.grid)
+            vals, _ = oracle_diagram(term, w0, params, t, sub, n_lambda=12, n_inner=6)
+            rel = np.max(np.abs(vals - full[idx]) / np.abs(full[idx]))
+            assert rel <= 1e-12, (term, name, rel)
+
+
+@pytest.mark.parametrize("term", ("gain", "loss_left", "loss_right"))
+def test_oracle_chunk_budget_does_not_change_the_values(gentle_instance, monkeypatch,
+                                                        term):
+    """A 64 KiB chunk budget, which cuts both the probe batches of the
+    eta-quadratics and the spectral sums into more chunks, gives every
+    default probe of the gentle instance within 1e-14 relative of the
+    8 MiB values at rung (20, 18)."""
+    w0, params, t, grid = (gentle_instance[k] for k in ("w0", "params", "t", "grid"))
+    probes = default_probes(grid)
+    chunks = []
+    occupation = oracle.bose_occupation
+
+    def counted(omega, t_env):
+        chunks[-1] += 1
+        return occupation(omega, t_env)
+
+    monkeypatch.setattr(oracle, "bose_occupation", counted)
+    vals = []
+    for budget in (1 << 23, 1 << 16):
+        monkeypatch.setattr(propagators, "_CHUNK_BYTES", budget)
+        chunks.append(0)
+        vals.append(oracle_diagram(term, w0, params, t, probes, n_lambda=20,
+                                   n_inner=18)[0])
+    assert chunks[1] > 2 * chunks[0]
+    assert np.max(np.abs(vals[1] - vals[0]) / np.abs(vals[0])) <= 1e-14
