@@ -60,12 +60,13 @@ from plain expm1 on the N_q ~ M + R N_p lattice momenta (d = 1), not
 conj(E0(b(q-))), as E0(-b) = conj(E0(b)); a loss's F summed over k first.
 The projection onto x runs once per term.
 
-Rank of the coefficients.  gq_j(p + k) is not on the lattice, but c = A B
-has low rank (`_rank_factors`): 1 for a Gaussian, at most one per atom of a
-closed state.  So the gain never forms gq: per k chunk it masks
-G_r(p + k) = sum_l B_rl e^{i s_l.(p+k)}, (R, N_p, K), to the momentum box
-and sums I G ww over k as one matmul per p, (M, K) @ (K, R); A contracts
-the (N_p, M, R) sum once at the end.
+Rank of the coefficients.  The mode rep holds c = a b only as rank-R
+factors, a (M, R) and b (R, L), which each builder finds once
+(`_rank_factors`): R = 1 for a Gaussian, 2 for a cat.  gq_j(p + k) is not
+on the lattice, so the gain never forms gq: per k chunk it masks
+G_r(p + k) = sum_l b_rl e^{i s_l.(p+k)}, (R, N_p, K), to the momentum box
+and sums I G ww over k as one matmul per p, (M, K) @ (K, R); a contracts
+the (N_p, M, R) sum once at the end.  A loss takes gq(p) as a (b e^{is.p}).
 
 loss_right is the complex conjugate of loss_left (B~ = -B once u_j -> -u_j,
 and the coefficients of a real W0 satisfy c_{-j,-l} = conj(c_{jl})), so the
@@ -77,7 +78,7 @@ evaluates only the terms asked for: certification may ask for fewer.
 One wrap-free period.  The mode sum is periodic in position, with period
 L = x_box's width.  Both mode builders take L at least the state's support
 half-width plus the reach of the evaluated positions from the state's
-centre (`_resolve_modes`), so every position x - p t/m + (k shift) that a
+centre (`build_modes`), so every position x - p t/m + (k shift) that a
 diagram evaluates stays a support half-width away from the images at
 x0 +- L.  A closed-form state is then its exact closed form wherever it is
 evaluated.  A gridded W0 is the band-limited interpolant of its samples
@@ -121,7 +122,6 @@ from .propagators import bose_occupation, chunk_len, kronrod_rule
 SUPPORT_TOL = 1e-9        # relative mass threshold for the shear support check
 CLOSED_DECAY = 8.9        # closed modes: Gaussian widths kept around each atom
 CLOSED_PAD = 3.0          # closed modes: extra widths of period beyond that
-COEF_TRUNC = 1e-19        # closed-form mode coefficient truncation
 PHASE_PER_PANEL = 24.0    # analytic phase (radians) covered by one k panel
 TERMS = ("gain", "loss_left", "loss_right")
 
@@ -146,12 +146,11 @@ def _expm1i(x):
     return out
 
 
-def _e0(b, d, em1=None):
-    """E0(b, d) = Int_0^d e^{ibs} ds = expm1(ibd)/(ib), d at b = 0, from
-    em1 = expm1(ibd) when given.  expm1 keeps full relative accuracy for
-    small |bd|, so E0 needs no series."""
+def _e0(b, d):
+    """E0(b, d) = Int_0^d e^{ibs} ds = expm1(ibd)/(ib), d at b = 0.  expm1
+    keeps full relative accuracy for small |bd|, so E0 needs no series."""
     b = np.asarray(b, dtype=float)
-    out = _expm1i(b * d) if em1 is None else np.array(em1)
+    out = _expm1i(b * d)
     out *= -1j
     with np.errstate(divide="ignore", invalid="ignore"):
         out /= b
@@ -159,13 +158,13 @@ def _e0(b, d, em1=None):
     return out
 
 
-def _f(b, d, em1=None):
+def _f(b, d):
     """F(b, d) = Int_0^d (d - s) e^{ibs} ds = d^2 (expm1(w) - w)/w^2 with
-    w = ibd, from em1 = expm1(w) when given; where |w| < 1 that difference
-    cancels, so F is d^2 sum_n w^n/(n+2)! there."""
+    w = ibd; where |w| < 1 that difference cancels, so F is
+    d^2 sum_n w^n/(n+2)! there."""
     b = np.asarray(b, dtype=float)
     bd = np.asarray(b * d)
-    out = _expm1i(bd) if em1 is None else np.array(em1)
+    out = _expm1i(bd)
     out.imag -= bd
     with np.errstate(divide="ignore", invalid="ignore"):
         out /= -(b * b)
@@ -191,8 +190,7 @@ def seg_e1(beta, s1, s2):
     (beta, s2 - s1).  Only the benchmark's tracer binds it."""
     beta = np.asarray(beta, dtype=float)
     d = np.subtract(s2, s1)
-    em1 = _expm1i(beta * d)
-    return np.exp(1j * (beta * s1)) * (s2 * _e0(beta, d, em1) - _f(beta, d, em1))
+    return np.exp(1j * (beta * s1)) * (s2 * _e0(beta, d) - _f(beta, d))
 
 
 def window_loss_integral(B, t, ta, tb):
@@ -203,8 +201,7 @@ def window_loss_integral(B, t, ta, tb):
     ta = np.clip(ta, 0.0, t)
     tb = np.clip(tb, ta, t)
     d = tb - ta
-    em1 = _expm1i(B * d)
-    return np.exp(1j * (B * ta)) * ((t - tb) * _e0(B, d, em1) + _f(B, d, em1))
+    return np.exp(1j * (B * ta)) * ((t - tb) * _e0(B, d) + _f(B, d))
 
 
 def strip_gain_integral(b1, b2, t, s_lo, s_hi):
@@ -277,12 +274,15 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class ModeRep:
-    """W0(X, Q) = sum_{j,l} coef[j,l] e^{i(u[j].X + s[l].Q)}, periodic in X
-    with period x_box and masked to q_box in Q."""
+    """W0(X, Q) = sum_{j,l} (a b)[j,l] e^{i(u[j].X + s[l].Q)}, periodic in X
+    with period x_box and masked to q_box in Q.  The (M, L) coefficients
+    are held only as their rank-R factors a and b, found once when the rep
+    is built (`_rank_factors`): R = 1 for a Gaussian, 2 for a cat."""
 
     u: np.ndarray          # (M, d) position-frequency vectors
     s: np.ndarray          # (L, d) momentum-frequency vectors
-    coef: np.ndarray       # (M, L) complex coefficients
+    a: np.ndarray          # (M, R) position factors of the coefficients
+    b: np.ndarray          # (R, L) momentum factors of the coefficients
     x_box: np.ndarray      # (d, 2) one wrap-free period in position
     q_box: np.ndarray      # (d, 2) support box in momentum
 
@@ -326,10 +326,11 @@ def modes_from_grid(w0, x_reach=None):
     p_min = grid.p_nodes[0]
     coef *= np.exp(-1j * (u @ np.full(d, grid.x_min)))[:, None]
     coef *= np.exp(-1j * (s @ np.full(d, p_min)))[None, :]
+    a, b = _rank_factors(coef, np.eye(s.shape[0]))
     x_mid = grid.x_min + 0.5 * (n - 1) * grid.dx
     x_box = np.array([[x_mid - 0.5 * pad * box, x_mid + 0.5 * pad * box]] * d)
     q_box = np.array([[p_min - 0.5 * grid.dp, p_min + (n - 0.5) * grid.dp]] * d)
-    return ModeRep(u=u, s=s, coef=coef, x_box=x_box, q_box=q_box)
+    return ModeRep(u=u, s=s, a=a, b=b, x_box=x_box, q_box=q_box)
 
 
 def modes_from_closed(spec, dp, x_reach=None):
@@ -343,7 +344,8 @@ def modes_from_closed(spec, dp, x_reach=None):
     sum reproduces the true (near-zero) tails there.  The momentum box stays
     at the true support and is enforced by masking instead.  Each period is
     rounded up to R pi/dp, R an integer and dp the output grid's step, so
-    u_j/2 lies on dp/R (`_q_lattice`).
+    u_j/2 lies on dp/R (`_q_lattice`).  Each atom is one position factor
+    times one momentum factor: no (M, L) matrix is formed.
     """
     d = spec.d
     sig = spec.sigma
@@ -372,32 +374,32 @@ def modes_from_closed(spec, dp, x_reach=None):
     u = _tensor_points(axes_u)
     s = _tensor_points(axes_s)
 
-    coef = np.zeros((u.shape[0], s.shape[0]), dtype=complex)
+    fu, fs = [], []
     for camp, xc, pc, kappa in wigner_atoms(spec):
-        fu = np.exp(-1j * (u @ xc) - 0.5 * sig**2 * np.sum(u**2, axis=-1))
+        fu.append(camp * np.exp(-1j * (u @ xc) - 0.5 * sig**2 * np.sum(u**2, axis=-1)))
         dfs = kappa[None, :] - s
-        fs = np.exp(1j * (dfs @ pc) - np.sum(dfs**2, axis=-1) / (8.0 * sig**2))
-        coef += camp * np.pi**d * fu[:, None] * fs[None, :]
-    coef /= np.prod(l_x) * np.prod(l_q)
-
-    peak = np.max(np.abs(coef))
-    keep_u = np.max(np.abs(coef), axis=1) > COEF_TRUNC * peak
-    keep_s = np.max(np.abs(coef), axis=0) > COEF_TRUNC * peak
-    u, s, coef = u[keep_u], s[keep_s], coef[np.ix_(keep_u, keep_s)]
+        fs.append(np.exp(1j * (dfs @ pc) - np.sum(dfs**2, axis=-1) / (8.0 * sig**2)))
+    scale = np.pi**d / (np.prod(l_x) * np.prod(l_q))
+    a, b = _rank_factors(scale * np.stack(fu, axis=1), np.stack(fs))
 
     # x_box is the wrap-free period; momentum keeps the true support and
     # relies on the evaluation mask
     x_box = np.stack([x0 - l_x / 2.0, x0 + l_x / 2.0], axis=-1)
     q_box = np.stack([p0 - r_q, p0 + r_q], axis=-1)
-    return ModeRep(u=u, s=s, coef=coef, x_box=x_box, q_box=q_box)
+    return ModeRep(u=u, s=s, a=a, b=b, x_box=x_box, q_box=q_box)
 
 
-def build_modes(w0, x_reach=None):
-    """Closed modes for a closed-form state, grid modes for gridded input,
-    each with a period that clears `x_reach` from the state's centre."""
+def build_modes(w0, params, t):
+    """The mode rep of `w0` at time step t: closed modes for a closed-form
+    state, grid modes for gridded input, each with a period that clears
+    the reach of the evaluated positions x - p t/m + (k shift) from the
+    state's centre (x0 for a closed-form state, else the box centre)."""
+    grid = w0.grid
+    shift = (float(np.max(np.abs(grid.p_nodes))) + params.lambda_uv) * t / params.m_s
     if isinstance(w0.source, InitialStateSpec):
-        return modes_from_closed(w0.source, w0.grid.dp, x_reach=x_reach)
-    return modes_from_grid(w0, x_reach=x_reach)
+        reach = float(np.max(np.abs(grid.x_nodes[:, None] - np.array(w0.source.x0))))
+        return modes_from_closed(w0.source, grid.dp, x_reach=reach + shift)
+    return modes_from_grid(w0, x_reach=0.5 * grid.n_x * grid.dx + shift)
 
 
 # ---------------------------------------------------------------------------
@@ -462,13 +464,17 @@ def _q_lattice(modes, P, dp):
     return q, rows[0], rows[1]
 
 
-def _rank_factors(coef):
-    """coef = A B, A (M, R) and B (R, L), from the thin SVD cut at numpy's
-    `matrix_rank` tolerance sigma_1 max(M, L) eps: R = 1 for a Gaussian,
-    at most one per `wigner_atoms` entry for a closed state."""
-    a_fac, sv, b_fac = np.linalg.svd(coef, full_matrices=False)
-    rank = int(np.sum(sv > sv[0] * max(coef.shape) * np.finfo(float).eps))
-    return a_fac[:, :rank] * sv[:rank], b_fac[:rank]
+def _rank_factors(a, b):
+    """a b = A B with A (M, R) and B (R, L) at the rank R of a b, for a
+    (M, N) and b (N, L): QRs of a and b^T, then the thin SVD of the small
+    core, cut at numpy's `matrix_rank` tolerance sigma_1 max(M, L) eps.
+    R = 1 for a Gaussian and 2 for a cat (its two direct atoms share a
+    momentum factor, its two interference atoms a position factor)."""
+    qa, ra = np.linalg.qr(a)
+    qb, rb = np.linalg.qr(b.T)
+    uc, sv, vh = np.linalg.svd(ra @ rb.T, full_matrices=False)
+    rank = int(np.sum(sv > sv[0] * max(a.shape[0], b.shape[1]) * np.finfo(float).eps))
+    return (qa @ uc[:, :rank]) * sv[:rank], vh[:rank] @ qb.T
 
 
 def _diagram_core(term, modes, X, P, dp, params, t, k, wk):
@@ -478,14 +484,14 @@ def _diagram_core(term, modes, X, P, dp, params, t, k, wk):
 
     Every (p, k) column enters the (M, N_p) sum from the q-lattice tables
     on the full time window (module docstring), the gain's through the
-    rank-R factors of the coefficients as an (N_p, M, R C) sum.  The sum
+    modes' rank-R factors a and b as an (N_p, M, R C) sum.  The sum
     runs over every chunk and branch and is projected onto x once; the mode
     period is wrap-free, so no window clips.
     """
     d = params.d
     m = params.m_s
     npts = P.shape[0]
-    M, L = modes.coef.shape
+    M, L = modes.u.shape[0], modes.s.shape[0]
     ncol = wk.shape[1]
 
     omega = np.sqrt(np.sum(k**2, axis=-1) + params.m_e**2)
@@ -497,17 +503,16 @@ def _diagram_core(term, modes, X, P, dp, params, t, k, wk):
     sp_phase = np.exp(1j * (modes.s @ P.T))                  # (L, Np)
 
     if term == "gain":
-        # gq = A G with G = B e^{is.(p+k)}: acc[p, j, (r, c)] sums I G ww
-        # over k, and A contracts it once at the end
-        a_fac, b_fac = _rank_factors(modes.coef)
-        rank = b_fac.shape[0]
-        bs_phase = b_fac[:, None, :] * sp_phase.T[None]      # (R, Np, L)
+        # gq = a G with G = b e^{is.(p+k)}: acc[p, j, (r, c)] sums I G ww
+        # over k, and a contracts it once at the end
+        rank = modes.b.shape[0]
+        bs_phase = modes.b[:, None, :] * sp_phase.T[None]    # (R, Np, L)
         acc = np.zeros((npts, M, rank * ncol), dtype=complex)
         weight = up_phase
     else:
         rank = 0
         acc = np.zeros((ncol, M, npts), dtype=complex)
-        weight = up_phase * (modes.coef @ sp_phase) * _in_q_box(modes, P)[None, :]
+        weight = up_phase * (modes.a @ (modes.b @ sp_phase)) * _in_q_box(modes, P)[None, :]
 
     # chunk k so its tensors stay bounded: per k node the gain's (Np, M) I and its
     # second gather, (R, Np) G, (R, Np, C) G ww and its copy, and the (Nq,) tables
@@ -538,23 +543,8 @@ def _diagram_core(term, modes, X, P, dp, params, t, k, wk):
                 acc += (_f(b, t) @ ww).T[:, iqp]
 
     if term == "gain":
-        acc = np.einsum("pjrc,jr->cjp", acc.reshape(npts, M, rank, ncol), a_fac)
+        acc = np.einsum("pjrc,jr->cjp", acc.reshape(npts, M, rank, ncol), modes.a)
     return ux_phase.T @ (weight * acc)
-
-
-def _resolve_modes(w0, params, t):
-    """Build the mode rep with a wrap-free period: each builder gets the
-    reach of the evaluated positions x - p t/m + (k shift) from the state's
-    centre, the packet center x0 for a closed-form state and the box centre
-    for gridded input (the box half-width)."""
-    grid = w0.grid
-    if isinstance(w0.source, InitialStateSpec):
-        reach = float(np.max(np.abs(grid.x_nodes[:, None] - np.array(w0.source.x0))))
-    else:
-        reach = 0.5 * grid.n_x * grid.dx
-    p_span = float(np.max(np.abs(grid.p_nodes)))
-    reach += (p_span + params.lambda_uv) * t / params.m_s
-    return build_modes(w0, x_reach=reach)
 
 
 def _second_order(w0, params, t, quad, workers=1, terms=TERMS):
@@ -582,7 +572,7 @@ def _second_order(w0, params, t, quad, workers=1, terms=TERMS):
         zero = np.zeros((2, grid.n_x**d, grid.n_x**d), dtype=complex)
         results, panels, n_nodes, x_period = [zero] * (2 * len(evaluated)), 0, 0, 0.0
     else:
-        modes = _resolve_modes(w0, params, t)
+        modes = build_modes(w0, params, t)
         X, P = (_tensor_points([v] * d) for v in (grid.x_nodes, grid.p_nodes))
         k, wk, panels = _k_nodes(params, quad, t, modes.u_max, float(np.max(np.abs(P))))
         # the trace: the u = 0 row at one x node, on the lattice dp over the
@@ -590,7 +580,7 @@ def _second_order(w0, params, t, quad, workers=1, terms=TERMS):
         j0 = int(np.argmin(np.sum(np.abs(modes.u), axis=-1)))
         if np.any(modes.u[j0] != 0.0):
             raise RuntimeError("mode set lacks the zero position frequency")
-        row = replace(modes, u=modes.u[j0:j0 + 1], coef=modes.coef[j0:j0 + 1])
+        row = replace(modes, u=modes.u[j0:j0 + 1], a=modes.a[j0:j0 + 1])
         passes = []
         for term in evaluated:
             reach = params.lambda_uv if term == "gain" else 0.0

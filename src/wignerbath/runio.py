@@ -372,8 +372,10 @@ def emit_plot_data(w, stem, rows=None, files=None):
     return [tri_path, mar_path]
 
 
-def _obs_payload(w):
-    return observables(w).as_dict()
+def _write_json(path, obj, files=None):
+    """`obj` as JSON through `_atomic_write`: indent 2, sorted keys, a
+    trailing newline, and str() for what JSON cannot encode."""
+    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True, default=str) + "\n", files)
 
 
 def _reason(exc):
@@ -411,7 +413,7 @@ def run(config):
         manifest["ended_unix"] = time.time()
         manifest["files"] = files
         man_path = os.path.join(config.out_dir, "manifest.json")
-        _atomic_write(man_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        _write_json(man_path, manifest)
         return manifest
 
     try:
@@ -423,8 +425,7 @@ def run(config):
     try:
         if config.mode == "observables":
             path = os.path.join(config.out_dir, "observables.json")
-            _atomic_write(path, json.dumps(_obs_payload(w0), indent=2,
-                                           sort_keys=True) + "\n", files)
+            _write_json(path, observables(w0).as_dict(), files)
 
         elif config.mode == "transform":
             rho = density_from_wigner(w0)
@@ -433,14 +434,13 @@ def run(config):
             rows = write_wigner_csv(w_back, path, files)
             trace = rho.trace()
             sidecar = {
-                "observables": _obs_payload(w_back),
+                "observables": observables(w_back).as_dict(),
                 "roundtrip_sup_error": float(np.max(np.abs(w_back.values - w0.values))),
                 "density_trace": [trace.real, trace.imag],
                 "hermiticity_defect": rho.hermiticity_defect(),
             }
             path = os.path.join(config.out_dir, "wigner_t0.json")
-            _atomic_write(path, json.dumps(sidecar, indent=2, sort_keys=True) + "\n",
-                          files)
+            _write_json(path, sidecar, files)
             if config.plot_data and config.grid.d == 1:
                 emit_plot_data(w_back, os.path.join(config.out_dir, "t0"), rows, files)
 
@@ -454,12 +454,11 @@ def run(config):
                 diag = dict(result.diagnostics)
                 sidecar = {
                     "time": t,
-                    "observables": _obs_payload(result.w_total),
+                    "observables": observables(result.w_total).as_dict(),
                     "diagnostics": diag,
                 }
                 path = os.path.join(config.out_dir, f"wigner_{tag}.json")
-                _atomic_write(path, json.dumps(sidecar, indent=2,
-                                               sort_keys=True) + "\n", files)
+                _write_json(path, sidecar, files)
                 manifest["diagnostics"][tag] = {
                     "time": t,
                     "trace_defect_g2": diag["trace_defect_g2"],
@@ -483,8 +482,7 @@ def run(config):
             record = certify_instance(w0, config.model, t, probes, config.quad,
                                       backend=config.backend)
             path = os.path.join(config.out_dir, "certification.json")
-            _atomic_write(path, json.dumps(record, indent=2, sort_keys=True,
-                                           default=str) + "\n", files)
+            _write_json(path, record, files)
             manifest["diagnostics"]["certification"] = {
                 "all_passed": record["all_passed"],
                 "runtime_s": record["runtime_s"],

@@ -3,7 +3,7 @@ import dataclasses
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wignerbath import (InitialStateSpec, ModelParams, QuadratureSpec,
                         make_initial_wigner, evolve, evolve_zeroth)
@@ -15,7 +15,7 @@ from wignerbath.evolution import (seg_e0, seg_e1,
                                   strip_gain_integral, window_loss_integral,
                                   modes_from_grid, modes_from_closed, zeroth_closed,
                                   _diagram_core, _e0, _f, _expm1i, _q_lattice,
-                                  _rank_factors, _resolve_modes, _second_order,
+                                  _rank_factors, _second_order, build_modes,
                                   _tensor_points)
 
 
@@ -270,7 +270,7 @@ def test_grid_modes_reproduce_interpolant(gauss_spec):
     rng = np.random.default_rng(9)
     for _ in range(5):
         X, Q = rng.uniform(-2, 2), rng.uniform(-1.5, 1.5)
-        val = np.real(np.sum(modes.coef * np.exp(
+        val = np.real(np.sum((modes.a @ modes.b) * np.exp(
             1j * (modes.u[:, 0][:, None] * X + modes.s[:, 0][None, :] * Q))))
         assert val == pytest.approx(
             float(wigner_closed(gauss_spec, np.array(X), np.array(Q))), abs=1e-9)
@@ -281,7 +281,7 @@ def test_closed_modes_reproduce_state(cat_spec):
     rng = np.random.default_rng(10)
     for _ in range(5):
         X, Q = rng.uniform(-4, 4), rng.uniform(-1.5, 1.5)
-        val = np.real(np.sum(modes.coef * np.exp(
+        val = np.real(np.sum((modes.a @ modes.b) * np.exp(
             1j * (modes.u[:, 0][:, None] * X + modes.s[:, 0][None, :] * Q))))
         assert val == pytest.approx(
             float(wigner_closed(cat_spec, np.array(X), np.array(Q))), abs=1e-12)
@@ -311,7 +311,7 @@ def test_closed_period_aligned_to_the_momentum_lattice(cat_spec, gauss_spec, n_x
             assert np.allclose(on_lattice, np.rint(on_lattice), rtol=0.0, atol=1e-9)
             for _ in range(5):
                 X, Q = rng.uniform(-4, 4), rng.uniform(-1.5, 1.5)
-                val = np.real(np.sum(aligned.coef * np.exp(
+                val = np.real(np.sum((aligned.a @ aligned.b) * np.exp(
                     1j * (aligned.u[:, 0][:, None] * X + aligned.s[:, 0][None, :] * Q))))
                 assert val == pytest.approx(
                     float(wigner_closed(spec, np.array(X), np.array(Q))), abs=1e-12)
@@ -391,7 +391,7 @@ def test_small_time_quadratic_scaling(tiny_instance):
     t_uv = 1.0 / (lam**2 / (2.0 * params.m_s) + lam)
     grid = tiny_instance["grid"]
     for term in ("gain", "loss_left"):
-        norms = [np.abs(_core_on_grid(term, _resolve_modes(w0, params, t), grid,
+        norms = [np.abs(_core_on_grid(term, build_modes(w0, params, t), grid,
                                       params, t, quad).real).sum() * cell
                  for t in (0.1 * t_uv, 0.2 * t_uv, 0.4 * t_uv)]
         r1 = norms[1] / norms[0]
@@ -456,7 +456,7 @@ def _direct_core(term, modes, grid, params, t, quad, support):
     uk = u[:, None, None] * k / (2.0 * m)                              # (M, 1, K)
     q = p[:, None] + (k[None, :] if term == "gain" else 0.0)
     inside = (q >= modes.q_box[0, 0]) & (q <= modes.q_box[0, 1])
-    gq = np.einsum("jl,lpk->jpk", modes.coef,
+    gq = np.einsum("jl,lpk->jpk", modes.a @ modes.b,
                    np.exp(1j * modes.s[:, 0][:, None, None] * q[None])) * inside
     total = np.zeros((x.size, p.size), dtype=complex)
     for sgn, wgt in evolution._thermal_branches(omega, params):
@@ -489,7 +489,7 @@ def test_diagram_core_matches_direct_evaluation(gauss_spec, backend, term):
     t = 0.7
     for params in (ModelParams(d=1, m_s=1.3, m_e=0.7, g=0.1, lambda_uv=8.0),
                    ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=8.0, t_env=0.7)):
-        modes = _resolve_modes(w0, params, t)
+        modes = build_modes(w0, params, t)
         if term == "loss_right":
             got = _second_order(w0, params, t, quad)[term][0]
         else:
@@ -521,9 +521,9 @@ def test_diagram_core_matches_direct_evaluation_above_rank_one(gauss_spec, case)
     t = 0.7
     for params in (ModelParams(d=1, m_s=1.3, m_e=0.7, g=0.1, lambda_uv=8.0),
                    ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=8.0, t_env=0.7)):
-        modes = _resolve_modes(w0, params, t)
-        rank = _rank_factors(modes.coef)[1].shape[0]
-        assert rank == (min(modes.coef.shape) - 1 if kind == "noisy" else 2)
+        modes = build_modes(w0, params, t)
+        rank = modes.b.shape[0]
+        assert rank == (min(len(modes.u), len(modes.s)) - 1 if kind == "noisy" else 2)
         for term in ("gain", "loss_left"):
             got = _core_on_grid(term, modes, grid, params, t, quad)
             ref, masked, _, _ = _direct_core(term, modes, grid, params, t, quad,
@@ -533,12 +533,16 @@ def test_diagram_core_matches_direct_evaluation_above_rank_one(gauss_spec, case)
 
 
 def test_rank_factors(gauss_spec, cat_spec):
-    """coef = A B within numpy's matrix_rank tolerance sigma_1 max(M, L) eps
-    (spectral norm), at that rank: 1 for a closed Gaussian, at most 4 (one
-    per atom) for a closed cat, full for random coefficients, and 0 for a
-    zero state, whose gain is then zero."""
-    def check(coef):
-        a_fac, b_fac = _rank_factors(coef)
+    """_rank_factors(a, b) gives a b = A B within numpy's matrix_rank
+    tolerance sigma_1 max(M, L) eps (spectral norm), at that rank: full for
+    random coefficients times the identity (as the grid builder passes
+    them), N for random (M, N) and (N, L) factors and less for dependent
+    ones (as the closed builder passes its atoms), and 0 for zeros.  The
+    stored factors have rank 1 for a closed Gaussian, 2 for a closed cat
+    (4 atoms) and 0 for a zero state, whose gain is then zero."""
+    def check(a, b):
+        coef = a @ b
+        a_fac, b_fac = _rank_factors(a, b)
         tol = np.linalg.norm(coef, 2) * max(coef.shape) * np.finfo(float).eps
         assert a_fac.shape == (coef.shape[0], b_fac.shape[0])
         assert b_fac.shape == (a_fac.shape[1], coef.shape[1])
@@ -546,17 +550,86 @@ def test_rank_factors(gauss_spec, cat_spec):
         assert b_fac.shape[0] == np.linalg.matrix_rank(coef)
         return b_fac.shape[0]
 
-    assert check(modes_from_closed(gauss_spec, 0.2, x_reach=6.0).coef) == 1
-    assert 1 < check(modes_from_closed(cat_spec, 0.2, x_reach=6.0).coef) <= 4
     rng = np.random.default_rng(2)
-    assert check(rng.standard_normal((9, 7)) + 1j * rng.standard_normal((9, 7))) == 7
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    assert check(cplx(9, 7), np.eye(7)) == 7
+    assert check(cplx(9, 3), cplx(3, 7)) == 3
+    assert check(cplx(9, 4), cplx(4, 2) @ cplx(2, 7)) == 2
+    assert check(np.zeros((9, 7)), np.eye(7)) == 0
+    for spec, rank in ((gauss_spec, 1), (cat_spec, 2)):
+        modes = modes_from_closed(spec, 0.2, x_reach=6.0)
+        assert modes.a.shape == (len(modes.u), rank)
+        assert modes.b.shape == (rank, len(modes.s))
+        assert np.linalg.matrix_rank(modes.a @ modes.b) == rank
     grid = balanced_grid(gauss_spec, 16)
     zero = WignerFunction(grid=grid, t=0.0, values=np.zeros(grid.value_shape()))
     params = ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=8.0)
     quad = QuadratureSpec(n_k=16)
-    modes = _resolve_modes(zero, params, 0.7)
-    assert check(modes.coef) == 0
+    modes = build_modes(zero, params, 0.7)
+    assert modes.a.shape[1] == modes.b.shape[0] == 0
     assert not np.any(_core_on_grid("gain", modes, grid, params, 0.7, quad))
+
+
+@pytest.mark.parametrize("path", ("closed", "grid"))
+def test_rank_is_found_once_per_mode_build(gentle_instance, monkeypatch, path):
+    """One `_second_order` call (four passes) factors the coefficients once
+    per mode build, in the builder: the diagram passes factor nothing."""
+    w0, params, t, quad = (gentle_instance[k] for k in ("w0", "params", "t", "quad"))
+    calls = {"_rank_factors": 0, "build_modes": 0}
+
+    def counted(name):
+        fn = getattr(evolution, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(evolution, name, wrapper)
+
+    counted("_rank_factors")
+    counted("build_modes")
+    _second_order(_input(w0, path), params, t, quad)
+    assert calls == {"_rank_factors": 1, "build_modes": 1}
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(("gaussian", "cat")), sigma=st.floats(0.5, 2.0),
+       x0=st.floats(-2.0, 2.0), p0=st.floats(-2.0, 2.0), separation=st.floats(0.0, 6.0),
+       phase=st.floats(0.0, 2.0 * np.pi), x_reach=st.floats(0.0, 8.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_closed_factors_reproduce_the_state(kind, sigma, x0, p0, separation, phase,
+                                            x_reach, seed):
+    """The closed builder's stored factors reproduce the closed form, a b
+    summed over the modes within 1e-12 of `wigner_closed` at random points
+    within the reach of x0 and inside the momentum box; at rank 1 for a
+    Gaussian and at most 2 for a cat; and u and s are the whole +-jmax and
+    +-lmax lattices of the builder's cuts, so no mode is dropped.  Cats
+    whose norm nearly cancels (separation near 0, phase near pi) are left
+    out."""
+    spec = InitialStateSpec(kind=kind, x0=(x0,), p0=(p0,), sigma=sigma,
+                            separation=separation if kind == "cat" else 0.0, phase=phase)
+    assume(kind == "gaussian" or spec.cat_norm() > 0.1)
+    modes = modes_from_closed(spec, balanced_grid(spec, 32).dp, x_reach=x_reach)
+    assert modes.b.shape[0] == 1 or (kind == "cat" and modes.b.shape[0] == 2)
+    assert modes.a.shape[0] == len(modes.u) and modes.b.shape[1] == len(modes.s)
+
+    decay, pad = evolution.CLOSED_DECAY, evolution.CLOSED_PAD
+    l_x, l_q = np.diff(modes.x_box[0])[0], (decay + pad) / sigma
+    for freqs, step, cut in ((modes.u[:, 0], 2.0 * np.pi / l_x, decay / sigma),
+                             (modes.s[:, 0], 2.0 * np.pi / l_q,
+                              2.0 * decay * sigma + spec.separation)):
+        top = int(np.ceil(cut / step))
+        assert np.allclose(freqs, step * np.arange(-top, top + 1), rtol=0.0, atol=1e-12 * cut)
+
+    rng = np.random.default_rng(seed)
+    r_x = max(decay * sigma + spec.separation / 2.0, x_reach)
+    X = rng.uniform(x0 - r_x, x0 + r_x, 20)
+    Q = rng.uniform(*modes.q_box[0], 20)
+    val = np.real(np.sum(np.exp(1j * modes.u[:, :1] * X)
+                         * ((modes.a @ modes.b) @ np.exp(1j * modes.s[:, :1] * Q)), axis=0))
+    assert np.max(np.abs(val - wigner_closed(spec, X, Q))) <= 1e-12
 
 
 def test_gain_is_real(gentle_instance):
@@ -592,20 +665,20 @@ def test_mode_period_is_wrap_free(path, t, lam, x0, p0, separation):
     grid = balanced_grid(spec, 32)
     w0 = _input(make_initial_wigner(spec, grid, boundary_tol=1e-3), path)
     params = ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=lam)
-    modes = _resolve_modes(w0, params, t)
+    modes = build_modes(w0, params, t)
     centre, period = np.mean(modes.x_box[0]), np.diff(modes.x_box[0])[0]
     if path == "grid":
         assert centre == pytest.approx(np.mean(grid.x_nodes), abs=1e-12)
         pad = period / (grid.n_x * grid.dx)
         assert pad == pytest.approx(round(pad), abs=1e-12)
-        assert modes.coef.shape[0] == round(pad) * grid.n_x + 1
+        assert modes.u.shape[0] == round(pad) * grid.n_x + 1
     else:
         assert centre == pytest.approx(x0, abs=1e-12)
         # the reach is taken from x0, so moving the packet with its grid
         # leaves the period and the mode count as they are at x0 = 0
         home = dataclasses.replace(spec, x0=(0.0,))
-        at_home = _resolve_modes(make_initial_wigner(home, balanced_grid(home, 32),
-                                                     boundary_tol=1e-3), params, t)
+        at_home = build_modes(make_initial_wigner(home, balanced_grid(home, 32),
+                                                  boundary_tol=1e-3), params, t)
         assert np.diff(at_home.x_box[0])[0] == pytest.approx(period, rel=1e-12)
     shift = lam * t / params.m_s
     xt = grid.x_nodes[:, None] - grid.p_nodes[None, :] * t / params.m_s
@@ -677,7 +750,7 @@ def test_error_estimate_tracks_the_error_on_an_even_half_run(gauss_spec, monkeyp
     params = ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=20.0)
     quad = QuadratureSpec()
     t = 0.25
-    modes = _resolve_modes(w0, params, t)
+    modes = build_modes(w0, params, t)
     terms = _second_order(w0, params, t, quad)
     for term in ("gain", "loss_left"):
         vals, rep = terms[term]
@@ -706,7 +779,7 @@ def test_chunk_budget_does_not_change_the_terms(gauss_spec, monkeypatch, term):
     params = ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=8.0, t_env=0.7)
     quad = QuadratureSpec(n_k=16)
     t = 0.7
-    modes = _resolve_modes(w0, params, t)
+    modes = build_modes(w0, params, t)
     ref = _core_on_grid(term, modes, grid, params, t, quad)
     ref_trace = _second_order(w0, params, t, quad)[term][1]["trace"]
     budget = 1 << 16
@@ -843,7 +916,7 @@ def test_second_order_rejects_an_unknown_term(gentle_instance, monkeypatch):
     def refuse(*args):
         raise AssertionError("the mode rep was built")
 
-    monkeypatch.setattr(evolution, "_resolve_modes", refuse)
+    monkeypatch.setattr(evolution, "build_modes", refuse)
     for time in (t, 0.0):
         with pytest.raises(ValueError, match="unknown term 'gian': the terms are "
                                              "gain, loss_left, loss_right"):

@@ -240,7 +240,7 @@ def test_certify_rejects_an_unknown_term(gentle_instance, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 
-    monkeypatch.setattr(evolution, "_resolve_modes", refuse)
+    monkeypatch.setattr(evolution, "build_modes", refuse)
     monkeypatch.setattr(oracle, "oracle_diagram", refuse)
     with pytest.raises(ValueError, match="unknown term 'gian': the terms are "
                                          "gain, loss_left, loss_right"):
