@@ -57,16 +57,28 @@ B(q) = q.k/m - k^2/2m - w_k.  p lies on the lattice dp and u_j/2 on dp/R
 to a whole multiple of n nodes), so per k chunk the kernels are tabulated
 from plain expm1 on the N_q ~ M + R N_p lattice momenta (d = 1), not
 2 M N_p, and gathered (`_q_lattice`): the gain's I = E0(b(q+))
-conj(E0(b(q-))), as E0(-b) = conj(E0(b)); a loss's F summed over k first.
-The projection onto x runs once per term.
+conj(E0(b(q-))), as E0(-b) = conj(E0(b)), on only the lattice rows that
+its chunk's live p rows reach (below); a loss's F on every row, summed
+over k first, in chunks sized by those (N_q, K) tables alone.  The
+projection onto x runs once per term.
 
 Rank of the coefficients.  The mode rep holds c = a b only as rank-R
 factors, a (M, R) and b (R, L), which each builder finds once
 (`_rank_factors`): R = 1 for a Gaussian, 2 for a cat.  gq_j(p + k) is not
 on the lattice, so the gain never forms gq: per k chunk it masks
-G_r(p + k) = sum_l b_rl e^{i s_l.(p+k)}, (R, N_p, K), to the momentum box
-and sums I G ww over k as one matmul per p, (M, K) @ (K, R); a contracts
-the (N_p, M, R) sum once at the end.  A loss takes gq(p) as a (b e^{is.p}).
+G_r(p + k) = sum_l b_rl e^{i s_l.(p+k)} to the momentum box and sums
+I G ww over k as one matmul per p, (M, K) @ (K, R); a contracts the
+(N_p, M, R) sum once at the end.  A loss takes gq(p) as a (b e^{is.p}).
+
+Live pairs.  The mask makes most of the gain's (p, k) pairs dead: p + k
+leaves the q box once |k| exceeds the box's reach from p (at n_x = 128,
+lambda = 50, 8.9 % of the output grid's pairs are live).  A dead pair adds
+an exact zero to the k sum, so each chunk holds only the k nodes that
+reach some p, the p rows that some of them reach, and the lattice rows
+those rows reach (`_live_chunks`): the tables, G, both gathers and the
+matmul run on that sub-block, and dropping the rest moves only the order
+of summation.  A chunk is sized by the bytes of its sub-block, and a
+large one is cut where its live band has shifted off most of its rows.
 
 loss_right is the complex conjugate of loss_left (B~ = -B once u_j -> -u_j,
 and the coefficients of a real W0 satisfy c_{-j,-l} = conj(c_{jl})), so the
@@ -477,6 +489,45 @@ def _rank_factors(a, b):
     return (qa @ uc[:, :rank]) * sv[:rank], vh[:rank] @ qb.T
 
 
+def _live_chunks(modes, P, k, pair_bytes, node_bytes):
+    """The gain's k chunks, cut to the (p, k) pairs that its mask keeps:
+    gq(p + k) is zero unless p + k lies in the q box (`_in_q_box`).  Yields
+    per chunk the k nodes that reach some p, the p rows that some of them
+    reach and the (rows, nodes) mask.  A chunk is the longest run of such
+    nodes whose nodes max(rows pair_bytes, node_bytes) fits the budget
+    (`chunk_len`) and whose rows stay within twice its widest node's live
+    rows, unless it fits a quarter of the budget: a band that shifts with k
+    would fill a large chunk with zeros, while a cut costs a chunk's fixed
+    work.  A node that reaches no p is in no chunk.  Any d: the mask is
+    tested on the flat rows of P."""
+    budget = chunk_len(1)                                # in bytes
+
+    def fits(nodes, rows, widest):
+        size = nodes * np.maximum(rows * pair_bytes, node_bytes)
+        return (size <= budget) & ((rows <= 2 * widest) | (4 * size <= budget))
+
+    scan = chunk_len(max(pair_bytes, node_bytes))        # widest chunk: one row
+    for k0 in range(0, k.shape[0], scan):
+        live = _in_q_box(modes, P[None, :, :] + k[k0:k0 + scan, None, :])  # (B, Np)
+        count = live.sum(axis=1)                         # live rows per node
+        nodes = np.flatnonzero(count)
+        live, count = live[nodes], count[nodes]
+        kept = np.flatnonzero(live.any(axis=0))
+        if nodes.size and fits(len(nodes), len(kept), count.max()):   # one chunk: no search
+            yield k0 + nodes, kept, live[:, kept].T
+            continue
+        while nodes.size:
+            # no wider than its first node's rows allow
+            width = chunk_len(max(int(count[0]) * pair_bytes, node_bytes))
+            grown = np.logical_or.accumulate(live[:width], axis=0)
+            ok = fits(np.arange(1, len(grown) + 1), grown.sum(axis=1),
+                      np.maximum.accumulate(count[:width]))
+            n = len(ok) - int(np.argmax(ok[::-1])) if ok.any() else 1  # the longest that fits
+            kept = np.flatnonzero(grown[n - 1])
+            yield k0 + nodes[:n], kept, live[:n, kept].T
+            nodes, live, count = nodes[n:], live[n:], count[n:]
+
+
 def _diagram_core(term, modes, X, P, dp, params, t, k, wk):
     """gain or loss_left at the points X (N_x, d) and P (N_p, d), P on
     the lattice dp, by the k nodes of `_k_nodes` under each column of the
@@ -484,9 +535,10 @@ def _diagram_core(term, modes, X, P, dp, params, t, k, wk):
 
     Every (p, k) column enters the (M, N_p) sum from the q-lattice tables
     on the full time window (module docstring), the gain's through the
-    modes' rank-R factors a and b as an (N_p, M, R C) sum.  The sum
-    runs over every chunk and branch and is projected onto x once; the mode
-    period is wrap-free, so no window clips.
+    modes' rank-R factors a and b as an (N_p, M, R C) sum over its live
+    pairs only (`_live_chunks`).  The sum runs over every chunk and branch
+    and is projected onto x once; the mode period is wrap-free, so no
+    window clips.
     """
     d = params.d
     m = params.m_s
@@ -497,6 +549,7 @@ def _diagram_core(term, modes, X, P, dp, params, t, k, wk):
     omega = np.sqrt(np.sum(k**2, axis=-1) + params.m_e**2)
     branches = _thermal_branches(omega, params)
     qv, iqp, iqm = _q_lattice(modes, P, dp)
+    n_q = qv.shape[0]
 
     ux_phase = np.exp(1j * (modes.u @ X.T))                  # (M, Nx)
     up_phase = np.exp(-1j * (modes.u @ P.T) * (t / m))       # (M, Np)
@@ -504,40 +557,53 @@ def _diagram_core(term, modes, X, P, dp, params, t, k, wk):
 
     if term == "gain":
         # gq = a G with G = b e^{is.(p+k)}: acc[p, j, (r, c)] sums I G ww
-        # over k, and a contracts it once at the end
+        # over k, and a contracts it once at the end.  A dead pair (p + k
+        # outside the q box) adds an exact zero, so a chunk holds only the
+        # nodes and rows of live pairs, and the tables only the q rows
+        # that its rows reach.  Bytes per (p, k) pair of a chunk: the (M,)
+        # I and its second gather, (R,) G, (R, C) G ww and its copy; per
+        # node: the (N_q,) tables
         rank = modes.b.shape[0]
         bs_phase = modes.b[:, None, :] * sp_phase.T[None]    # (R, Np, L)
         acc = np.zeros((npts, M, rank * ncol), dtype=complex)
         weight = up_phase
+        chunks = _live_chunks(modes, P, k, 16 * (2 * M + rank * (1 + 2 * ncol)), 96 * n_q)
     else:
-        rank = 0
+        # a loss builds only (N_q, K) tables and an (N_q, C) sum: six
+        # (N_q,) arrays per k node
         acc = np.zeros((ncol, M, npts), dtype=complex)
         weight = up_phase * (modes.a @ (modes.b @ sp_phase)) * _in_q_box(modes, P)[None, :]
+        step = chunk_len(96 * n_q)
+        chunks = ((slice(k0, k0 + step), slice(None), None)
+                  for k0 in range(0, k.shape[0], step))
 
-    # chunk k so its tensors stay bounded: per k node the gain's (Np, M) I and its
-    # second gather, (R, Np) G, (R, Np, C) G ww and its copy, and the (Nq,) tables
-    chunk = chunk_len(16 * max(npts * (2 * M + rank * (1 + 2 * ncol)), 6 * qv.shape[0]))
-    for k0 in range(0, k.shape[0], chunk):
-        sl = slice(k0, k0 + chunk)
-        kc, wc, om = k[sl], wk[sl], omega[sl]
+    for nodes, rows, live in chunks:
+        kc, wc, om = k[nodes], wk[nodes], omega[nodes]
         kk2 = np.sum(kc**2, axis=-1) / (2.0 * m)
-        qk = (qv @ kc.T) / m                                 # (Nq, K)
         meas = wc / ((2.0 * np.pi) ** d * 2.0 * om)[:, None]
 
         if term == "gain":
-            sk_phase = np.exp(1j * (modes.s @ kc.T))         # (L, K)
-            g_tab = (bs_phase.reshape(-1, L) @ sk_phase).reshape(rank, npts, len(kc))
-            g_tab *= _in_q_box(modes, P[:, None, :] + kc[None, :, :])[None]
+            qp, qm = iqp[:, rows], iqm[:, rows]
+            reached = np.zeros(n_q, dtype=bool)
+            reached[qp] = reached[qm] = True
+            renum = np.cumsum(reached) - 1
+            ip, im = renum[qp.T], renum[qm.T]                # (Np', M)
+            qk = (qv[reached] @ kc.T) / m                    # (Nq', K')
+            sk_phase = np.exp(1j * (modes.s @ kc.T))         # (L, K')
+            g_tab = (bs_phase[:, rows].reshape(-1, L) @ sk_phase).reshape(rank, *live.shape)
+            g_tab *= live
+        else:
+            qk = (qv @ kc.T) / m                             # (Nq, K)
 
         for sgn, wgt_full in branches:
-            ww = meas * wgt_full[sl, None]                   # (K, C)
+            ww = meas * wgt_full[nodes, None]                # (K, C)
             if term == "gain":
                 b = sgn * om[None, :] - qk - kk2[None, :]     # b1(q); b2(q-) = -b(q-)
                 e1 = _e0(b, t)
-                i_full = e1[iqp.T]                            # (Np, M, K)
-                i_full *= np.conj(e1)[iqm.T]
+                i_full = e1[ip]                               # (Np', M, K')
+                i_full *= np.conj(e1)[im]
                 g_ww = (g_tab[..., None] * ww).transpose(1, 2, 0, 3)
-                acc += i_full @ g_ww.reshape(npts, len(kc), rank * ncol)
+                acc[rows] += i_full @ g_ww.reshape(len(rows), len(kc), rank * ncol)
             else:
                 b = qk - kk2[None, :] - sgn * om[None, :]     # B(q)
                 acc += (_f(b, t) @ ww).T[:, iqp]

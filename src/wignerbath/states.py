@@ -20,6 +20,9 @@ from .wigner import WignerFunction
 
 BOUNDARY_TOL = 1e-7   # max |W| on the box boundary relative to the peak
 NORM_TOL = 1e-6
+# least squared norm of a cat's packet sum: its four Wigner atoms are each
+# about 1/norm in size, so their sum keeps NORM_TOL relative accuracy
+CAT_NORM_FLOOR = 4.0 * np.finfo(float).eps / NORM_TOL
 
 
 @dataclass(frozen=True)
@@ -47,16 +50,25 @@ class InitialStateSpec:
             raise ValueError("cat separation must be >= 0")
         if len(self.x0) != len(self.p0):
             raise ValueError("x0 and p0 must have the same dimension")
+        if self.kind == "cat" and not self.cat_norm() >= CAT_NORM_FLOOR:
+            raise ValueError(
+                f"cat (separation {self.separation:.6g}, phase {self.phase:.6g}) has "
+                f"squared norm {self.cat_norm():.3g}, below {CAT_NORM_FLOOR:.1e}: "
+                "its two packets cancel")
 
     @property
     def d(self):
         return len(self.x0)
 
     def cat_norm(self):
-        """Squared norm of psi_plus + e^{i phase} psi_minus."""
+        """Squared norm of psi_plus + e^{i phase} psi_minus,
+        2 + 2 ov cos(phase + p0 s) with ov = exp(-s^2/(8 sigma^2)), taken as
+        -2 expm1(-s^2/(8 sigma^2)) + 4 ov cos^2((phase + p0 s)/2): a sum of
+        two non-negative terms, so no cancellation where the packets do."""
         s = self.separation
-        ov = np.exp(-s**2 / (8.0 * self.sigma**2))
-        return 2.0 + 2.0 * ov * np.cos(self.phase + self.p0[0] * s)
+        arg = -s**2 / (8.0 * self.sigma**2)
+        return float(-2.0 * np.expm1(arg)
+                     + 4.0 * np.exp(arg) * np.cos(0.5 * (self.phase + self.p0[0] * s))**2)
 
 
 def wigner_atoms(spec):

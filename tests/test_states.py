@@ -60,6 +60,34 @@ def test_cat_with_phase_and_momentum_norm():
     assert w0.norm() == pytest.approx(1.0, abs=1e-8)
 
 
+def test_cat_norm_without_cancellation():
+    """cat_norm is 2 + 2 ov cos(phase + p0 s), ov = exp(-s^2/(8 sigma^2)),
+    within 1e-15 relative of a 50-digit evaluation where the packets
+    nearly cancel (phase pi, small separation: the direct sum loses about
+    log10(1/norm) digits there, 7 at s = 1e-3) and on ordinary cats.  The
+    cancelling cases keep p0 = 0, so that phase + p0 s is not rounded."""
+    import mpmath
+    for sep, phase, p0, sigma in ((1e-3, np.pi, 0.0, 1.0), (1e-4, np.pi, 0.0, 0.7),
+                                  (2e-2, np.pi - 1e-3, 0.0, 1.2), (3.0, 1.1, 0.8, 0.9),
+                                  (6.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0)):
+        spec = InitialStateSpec(kind="cat", p0=(p0,), sigma=sigma,
+                                separation=sep, phase=phase)
+        with mpmath.workdps(50):
+            s = mpmath.mpf(sep)
+            ref = float(2 + 2 * mpmath.exp(-s**2 / (8 * mpmath.mpf(sigma)**2))
+                        * mpmath.cos(mpmath.mpf(phase) + mpmath.mpf(p0) * s))
+        assert abs(spec.cat_norm() - ref) <= 1e-15 * ref
+
+
+@pytest.mark.parametrize("sep", (0.0, 1e-9))
+def test_cancelling_cat_rejected_by_name(sep):
+    """A cat whose packets cancel (norm below CAT_NORM_FLOOR: separation 0 or
+    1e-9 at phase pi) is rejected by name with its norm, before its Wigner
+    atoms would divide by it."""
+    with pytest.raises(ValueError, match=r"cat \(separation .*\) has squared norm .* cancel"):
+        InitialStateSpec(kind="cat", separation=sep, phase=np.pi)
+
+
 def test_leaking_state_rejected(gauss_spec):
     small = balanced_grid(gauss_spec, 64)
     off_center = InitialStateSpec(kind="gaussian", x0=(5.0,), p0=(0.0,), sigma=1.0)
