@@ -77,8 +77,8 @@ an exact zero to the k sum, so each chunk holds only the k nodes that
 reach some p, the p rows that some of them reach, and the lattice rows
 those rows reach (`_live_chunks`): the tables, G, both gathers and the
 matmul run on that sub-block, and dropping the rest moves only the order
-of summation.  A chunk is sized by the bytes of its sub-block, and a
-large one is cut where its live band has shifted off most of its rows.
+of summation.  A chunk is sized by the bytes of its sub-block, and cut
+where its live band has shifted off most of its rows.
 
 loss_right is the complex conjugate of loss_left (B~ = -B once u_j -> -u_j,
 and the coefficients of a real W0 satisfy c_{-j,-l} = conj(c_{jl})), so the
@@ -494,17 +494,16 @@ def _live_chunks(modes, P, k, pair_bytes, node_bytes):
     gq(p + k) is zero unless p + k lies in the q box (`_in_q_box`).  Yields
     per chunk the k nodes that reach some p, the p rows that some of them
     reach and the (rows, nodes) mask.  A chunk is the longest run of such
-    nodes whose nodes max(rows pair_bytes, node_bytes) fits the budget
-    (`chunk_len`) and whose rows stay within twice its widest node's live
-    rows, unless it fits a quarter of the budget: a band that shifts with k
-    would fill a large chunk with zeros, while a cut costs a chunk's fixed
-    work.  A node that reaches no p is in no chunk.  Any d: the mask is
-    tested on the flat rows of P."""
+    nodes whose sub-block, nodes max(rows pair_bytes, node_bytes) bytes,
+    fits the budget (`chunk_len`) and whose rows stay within twice its
+    widest node's live rows: a band that shifts with k would fill a wide
+    chunk with zeros.  A node that reaches no p is in no chunk.  Any d: the
+    mask is tested on the flat rows of P."""
     budget = chunk_len(1)                                # in bytes
 
     def fits(nodes, rows, widest):
         size = nodes * np.maximum(rows * pair_bytes, node_bytes)
-        return (size <= budget) & ((rows <= 2 * widest) | (4 * size <= budget))
+        return (size <= budget) & (rows <= 2 * widest)
 
     scan = chunk_len(max(pair_bytes, node_bytes))        # widest chunk: one row
     for k0 in range(0, k.shape[0], scan):
@@ -512,10 +511,6 @@ def _live_chunks(modes, P, k, pair_bytes, node_bytes):
         count = live.sum(axis=1)                         # live rows per node
         nodes = np.flatnonzero(count)
         live, count = live[nodes], count[nodes]
-        kept = np.flatnonzero(live.any(axis=0))
-        if nodes.size and fits(len(nodes), len(kept), count.max()):   # one chunk: no search
-            yield k0 + nodes, kept, live[:, kept].T
-            continue
         while nodes.size:
             # no wider than its first node's rows allow
             width = chunk_len(max(int(count[0]) * pair_bytes, node_bytes))

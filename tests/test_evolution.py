@@ -639,7 +639,9 @@ def test_closed_factors_reproduce_the_state(kind, sigma, x0, p0, separation, pha
     try:
         spec = InitialStateSpec(kind=kind, x0=(x0,), p0=(p0,), sigma=sigma,
                                 separation=separation if kind == "cat" else 0.0, phase=phase)
-    except ValueError:                     # a cat whose packets cancel
+    except ValueError as err:              # only a cat whose packets cancel
+        if "packets cancel" not in str(err):
+            raise
         assume(False)
     assume(kind == "gaussian" or spec.cat_norm() > 0.1)
     modes = modes_from_closed(spec, balanced_grid(spec, 32).dp, x_reach=x_reach)
