@@ -44,7 +44,9 @@ Certification (`certify_instance`) climbs a ladder of oracle rules per term,
 cheapest first (_RUNGS), and stops at the first two rules whose values
 agree to _LADDER_TOL at every probe; their difference is the oracle's error
 estimate, as QUADPACK estimates its error by comparing two rules.  Where the
-cheap rules disagree the ladder ends at oracle_diagram's default rule.
+cheap rules disagree the ladder ends at oracle_diagram's default rule.  It
+cannot see the rules its rungs share: the losses' lambda rule (`_tau_rule`)
+and, at the first two, the k nodes per panel.
 
 Certification instances are small by construction; a runtime budget,
 checked before each pass over the probes, returns partial results with
@@ -66,11 +68,12 @@ _PROBE_SIDE = 3             # the default probes are a 3 x 3 sub-lattice
 _NODE_TOL = 1e-9            # a probe this close to a node, in spacings, is on it
 _CERTIFY_REL_TOL = 1e-5     # probe agreement that passes whatever the estimates
 # oracle rules (n_lambda, n_inner) that certification climbs, cheapest
-# first; the last one is oracle_diagram's default.  Where the ladder climbs
-# to the top the first rung is pure overhead, so it is kept cheap: 6 time
-# nodes still agree with (20, 18) to 2e-11 on the test instances.
+# first; the last one is oracle_diagram's default.  n_lambda sizes only the
+# gain's lambda rule.  The first rung only gives the second its estimate, so
+# it is kept cheap: 6 time nodes agree with (20, 18) to 2e-11 on the test instances.
 _RUNGS = ((12, 6), (20, 18), (28, 24))
 _LADDER_TOL = 1e-3 * _CERTIFY_REL_TOL   # two rungs that agree this well end it
+_TAU_NODES, _TAU_PHASE = 24, 2.5   # the losses' lambda rule (_tau_rule)
 _ENVELOPE_NATS = 40.0       # the gain's k range: its envelope down by e^-40
 _GRADE = 6.0                # k panel edges at 0 and +-m_e _GRADE^j, j >= 1
 _COEFF_ARRAYS = 12          # (taus, time nodes) arrays per point in the xi integral
@@ -532,6 +535,16 @@ def _k_panels(k_lo, k_hi, width, m_e):
     return mid, 0.5 * length, cuts.reshape(seg.shape).sum(axis=1)
 
 
+def _tau_rule(term_id, params, t, n_lambda):
+    """(panels, nodes per panel) of a term's rule in lambda = sqrt|tau|: the
+    gain's n_lambda nodes on one panel; the losses' _TAU_NODES per panel on
+    panels uniform in lambda (the bath's log(tau) layer near 0 asks that),
+    one per _TAU_PHASE radians of the bath phase lambda_uv t, two at least."""
+    if term_id == "gain":
+        return 1, n_lambda
+    return max(2, int(np.ceil(params.lambda_uv * t / _TAU_PHASE))), _TAU_NODES
+
+
 def _at_points(coeffs, points, n_elems, *args):
     """coeffs(x, p, *args) at each point in turn, each part of shape (taus,
     time nodes, 1), from calls on batches of points as (batch, 1, 1, 1)
@@ -684,10 +697,11 @@ def oracle_diagram(term_id, w0, params, t, probes, n_lambda=28, n_inner=24,
     budget_s had run out before one of the term's passes (one per pair of
     packet components) started: each pass covers every probe, so then none
     has a value.  One rule carries no error estimate; `certify_instance`
-    gets one by comparing rules.
+    gets one by comparing rules.  n_lambda sizes the gain's lambda rule
+    only; n_inner sizes every term's time rule.
 
     The tau = +-lambda^2 nodes (n_lambda of them per sign for the gain term,
-    12 per panel on max(12, n_lambda) panels for the loss terms) are
+    `_tau_rule`'s panels sized from lambda_uv t for the loss terms) are
     evaluated as arrays, not one by one, through `_spectral_sum`, and so are
     the probes: the eta-quadratic's h1 is affine in the probe (x, p) and
     the probes lie on a lattice of grid nodes (its steps the gcd of their
@@ -747,11 +761,12 @@ def oracle_diagram(term_id, w0, params, t, probes, n_lambda=28, n_inner=24,
         vals = np.zeros(len(probes.points), dtype=complex)
         return vals, [{"status": "ok"} for _ in probes.points]
 
+    panels, per_panel = _tau_rule(term_id, params, t, n_lambda)
+    lam, lam_w = gauss_panels(0.0, np.sqrt(t), per_panel, panels)
+    tau, jac = lam**2, 2.0 * lam * lam_w
     if term_id == "gain":
         # tau = t1 - t2 = +-lambda^2, t1,2 = tb +- tau/2
-        lam_nodes, lam_w = gauss_panels(0.0, np.sqrt(t), n_lambda, 1)
-        tau = np.concatenate([lam_nodes**2, -lam_nodes**2])
-        jac = np.tile(2.0 * lam_nodes * lam_w, 2)
+        tau, jac = np.concatenate([tau, -tau]), np.tile(jac, 2)
         tb, tb_w = gauss_panels(np.abs(tau) / 2.0, t - np.abs(tau) / 2.0, n_inner, 1)
         bath_tau = tau
 
@@ -759,13 +774,9 @@ def oracle_diagram(term_id, w0, params, t, probes, n_lambda=28, n_inner=24,
             return _gain_eta_coeffs(x, p, t, tb + tau[:, None] / 2.0,
                                     tb - tau[:, None] / 2.0, params, spec, ci, cj)
     else:
-        # the bath correlation's log(tau) layer between 1/lambda_uv and
-        # 1/m_e needs composite lambda panels; tau = |t1 - t2| > 0, the
-        # earlier vertex on the time node tb
+        # tau = |t1 - t2| > 0 (every Gauss node lies inside [0, sqrt t]),
+        # the earlier vertex on the time node tb
         left = term_id == "loss_left"
-        lam_g, lam_gw = gauss_panels(0.0, np.sqrt(t), 12, max(12, n_lambda))
-        keep = t - lam_g**2 > 0.0
-        tau, jac = lam_g[keep]**2, 2.0 * lam_g[keep] * lam_gw[keep]
         tb, tb_w = gauss_panels(0.0, t - tau, n_inner, 1)
         bath_tau = -tau if left else tau
 
@@ -822,8 +833,9 @@ def certify_instance(w0, params, t, probes, quad, terms=("gain", "loss_left",
     values.  The ladder stops at the first rung where every probe's
     estimate is within _LADDER_TOL, at the last rung, or once the runtime
     budget is spent, and reports that rung's values; the term's record
-    names the rule ("oracle_rule"), the rungs run ("oracle_rungs") and
-    whether the ladder converged ("oracle_converged").
+    names the rule ("oracle_rule"), its lambda rule ("oracle_tau_rule",
+    [panels, nodes per panel], see `_tau_rule`), the rungs run
+    ("oracle_rungs") and whether the ladder converged ("oracle_converged").
     """
     from .evolution import _fast_input, _second_order
 
@@ -884,6 +896,7 @@ def certify_instance(w0, params, t, probes, quad, terms=("gain", "loss_left",
             "probes": entries,
             "passed": bool(term_pass),
             "oracle_rule": [n_lambda, n_inner],
+            "oracle_tau_rule": list(_tau_rule(term, params, t, n_lambda)),
             "oracle_rungs": rungs,
             "oracle_converged": converged,
         }

@@ -485,6 +485,7 @@ def run(config):
             _write_json(path, record, files)
             manifest["diagnostics"]["certification"] = {
                 "all_passed": record["all_passed"],
+                "oracle_converged": {k: e["oracle_converged"] for k, e in record["terms"].items()},
                 "runtime_s": record["runtime_s"],
             }
             if not record["all_passed"]:

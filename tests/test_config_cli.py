@@ -286,6 +286,20 @@ def test_run_transform_mode(tmp_path, gauss_spec):
     assert "wigner_t0.csv" in names and "manifest.json" not in names
 
 
+def test_run_certify_mode(tmp_path):
+    """A certify run's manifest lists each term's oracle_converged next to
+    all_passed, as certification.json has them."""
+    text = MINIMAL.format(out=tmp_path) + "mode = certify\ntimes = 0.6\n"
+    manifest = run(parse_config(text))
+    assert not manifest["failures"]
+    record = json.loads((tmp_path / "certification.json").read_text())
+    summary = manifest["diagnostics"]["certification"]
+    assert summary["all_passed"] is record["all_passed"] is True
+    assert summary["oracle_converged"] == {term: entry["oracle_converged"]
+                                           for term, entry in record["terms"].items()}
+    assert list(summary["oracle_converged"]) == ["gain", "loss_left", "loss_right"]
+
+
 def test_run_evolve_g0_shear(tmp_path):
     text = MINIMAL.format(out=tmp_path) + "g = 0.0\ntimes = 0.0, 0.8\n"
     manifest = run(parse_config(text))

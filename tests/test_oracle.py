@@ -167,6 +167,7 @@ def test_certify_ladder_stops_where_two_rules_agree(gentle_instance):
     assert record["all_passed"]
     for term, entry in record["terms"].items():
         assert entry["oracle_rule"] == [20, 18] and entry["oracle_rungs"] == 2, term
+        assert entry["oracle_tau_rule"] == ([1, 20] if term == "gain" else [2, 24]), term
         assert entry["oracle_converged"], term
         assert max(e["oracle_err_est"] for e in entry["probes"]) <= 1e-8, term
         ref, _ = oracle_diagram(term, w0, params, t, probes)
@@ -293,25 +294,35 @@ def test_warm_cat_certification():
         assert rel.max() < 1e-6, term
 
 
-def _k_rule_move(term, w0, params, t, probes, rule):
-    """Largest relative move of oracle_diagram's values at `rule` when every
-    k panel of its spectral sums is cut into four equal panels."""
-    panels = oracle._k_panels
-
-    def quartered(*args):
-        mid, half, count = panels(*args)
-        part = 0.25 * half
-        mid = (mid[:, None] + part[:, None] * np.array([-3.0, -1.0, 1.0, 3.0])).ravel()
-        return mid, np.repeat(part, 4), 4 * count
-
+def _rule_move(term, w0, params, t, probes, rule, name, refine):
+    """Largest relative move of oracle_diagram's values at `rule` when the
+    output of the oracle's helper `name` is passed through refine."""
+    helper = getattr(oracle, name)
     n_lambda, n_inner = rule
     vals, _ = oracle_diagram(term, w0, params, t, probes, n_lambda=n_lambda,
                              n_inner=n_inner)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_k_panels", quartered)
+        mp.setattr(oracle, name, lambda *args: refine(*helper(*args)))
         fine, _ = oracle_diagram(term, w0, params, t, probes, n_lambda=n_lambda,
                                  n_inner=n_inner)
     return np.max(np.abs(vals - fine) / np.abs(fine))
+
+
+def _k_rule_move(term, w0, params, t, probes, rule):
+    """_rule_move with every k panel of the spectral sums cut into four
+    equal panels."""
+    def quartered(mid, half, count):
+        part = 0.25 * half
+        mid = (mid[:, None] + part[:, None] * np.array([-3.0, -1.0, 1.0, 3.0])).ravel()
+        return mid, np.repeat(part, 4), 4 * count
+
+    return _rule_move(term, w0, params, t, probes, rule, "_k_panels", quartered)
+
+
+def _tau_rule_move(term, w0, params, t, probes, rule):
+    """_rule_move with twice the panels of the term's lambda rule."""
+    return _rule_move(term, w0, params, t, probes, rule, "_tau_rule",
+                      lambda panels, per_panel: (2 * panels, per_panel))
 
 
 @pytest.mark.parametrize("m_e", (0.1, 0.03))
@@ -347,6 +358,31 @@ def test_oracle_k_rule_is_converged(gentle_instance, instance):
         for term in ("gain", "loss_left", "loss_right"):
             move = _k_rule_move(term, w0, params, t, probes, rule)
             assert move <= 1e-12, (rule, term, move)
+
+
+@pytest.mark.parametrize("instance", ("gentle", "gentle_warm", "warm_cat", "light_bath",
+                                      "tiny"))
+def test_oracle_tau_rule_is_converged(gentle_instance, tiny_instance, instance):
+    """Twice the losses' lambda panels move no probe by more than 1e-12 at
+    the ladder's first two rungs, and on tiny (lambda_uv t = 50, 20 panels)
+    loss_left by no more than 1e-10 at the second: every rung takes the same
+    lambda rule, so the ladder itself cannot see its error."""
+    rules, terms, bound = oracle._RUNGS[:2], ("loss_left", "loss_right"), 1e-12
+    if instance == "warm_cat":
+        w0, params, t, probes = _warm_cat()
+    elif instance == "tiny":
+        w0, params, t = (tiny_instance[k] for k in ("w0", "params", "t"))
+        probes = default_probes(tiny_instance["grid"])
+        rules, terms, bound = oracle._RUNGS[1:2], ("loss_left",), 1e-10
+    else:
+        w0, t = gentle_instance["w0"], gentle_instance["t"]
+        change = {"gentle": {}, "gentle_warm": {"t_env": 0.7}, "light_bath": {"m_e": 0.03}}
+        params = replace(gentle_instance["params"], **change[instance])
+        probes = default_probes(gentle_instance["grid"])
+    for rule in rules:
+        for term in terms:
+            move = _tau_rule_move(term, w0, params, t, probes, rule)
+            assert move <= bound, (rule, term, move)
 
 
 @settings(max_examples=8, deadline=None)
