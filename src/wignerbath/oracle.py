@@ -42,11 +42,11 @@ Gaussian decays in k as well, so its k sum covers only its envelope
 
 Certification (`certify_instance`) climbs a ladder of oracle rules per term,
 cheapest first (_RUNGS), and stops at the first two rules whose values
-agree to _LADDER_TOL at every probe; their difference is the oracle's error
-estimate, as QUADPACK estimates its error by comparing two rules.  Where the
-cheap rules disagree the ladder ends at oracle_diagram's default rule.  It
-cannot see the rules its rungs share: the losses' lambda rule (`_tau_rule`)
-and, at the first two, the k nodes per panel.
+agree to _LADDER_TOL at every probe; their difference is the finer one's
+error estimate, as QUADPACK estimates its error by comparing two rules.  The
+second rung only confirms the first; where they disagree the ladder climbs
+to oracle_diagram's default rule.  It cannot see the rules its rungs share,
+the losses' lambda rule (`_tau_rule`) and the first two's k nodes per panel.
 
 Certification instances are small by construction; a runtime budget,
 checked before each pass over the probes, returns partial results with
@@ -67,11 +67,10 @@ DEFAULT_EPS = (1e-2, 1e-3, 1e-4)   # contour regulators, relative to the scale
 _PROBE_SIDE = 3             # the default probes are a 3 x 3 sub-lattice
 _NODE_TOL = 1e-9            # a probe this close to a node, in spacings, is on it
 _CERTIFY_REL_TOL = 1e-5     # probe agreement that passes whatever the estimates
-# oracle rules (n_lambda, n_inner) that certification climbs, cheapest
-# first; the last one is oracle_diagram's default.  n_lambda sizes only the
-# gain's lambda rule.  The first rung only gives the second its estimate, so
-# it is kept cheap: 6 time nodes agree with (20, 18) to 2e-11 on the test instances.
-_RUNGS = ((12, 6), (20, 18), (28, 24))
+# oracle rules (n_lambda, n_inner) that certification climbs, cheapest first;
+# the last is oracle_diagram's default.  The second only confirms the first: the
+# cheapest rule finer in both, 5e-14 from (40, 32) wherever (12, 6) is converged.
+_RUNGS = ((12, 6), (16, 8), (28, 24))
 _LADDER_TOL = 1e-3 * _CERTIFY_REL_TOL   # two rungs that agree this well end it
 _TAU_NODES, _TAU_PHASE = 24, 2.5   # the losses' lambda rule (_tau_rule)
 _ENVELOPE_NATS = 40.0       # the gain's k range: its envelope down by e^-40
@@ -826,16 +825,16 @@ def certify_instance(w0, params, t, probes, quad, terms=("gain", "loss_left",
     A probe passes when the relative difference is within _CERTIFY_REL_TOL
     or within the fast term's rel_err_est plus the oracle's error estimate.
 
-    Each term climbs a ladder of oracle rules, _RUNGS (each an
-    `oracle_diagram` call that batches its tau nodes as described there).
-    A probe's oracle error estimate is the difference between the current
-    rung and the one below, relative to the larger of the fast and oracle
-    values.  The ladder stops at the first rung where every probe's
-    estimate is within _LADDER_TOL, at the last rung, or once the runtime
-    budget is spent, and reports that rung's values; the term's record
-    names the rule ("oracle_rule"), its lambda rule ("oracle_tau_rule",
-    [panels, nodes per panel], see `_tau_rule`), the rungs run
-    ("oracle_rungs") and whether the ladder converged ("oracle_converged").
+    Each term climbs the ladder of oracle rules _RUNGS, one `oracle_diagram`
+    call per rung.  A probe's oracle error estimate is the difference
+    between the current rung and the one below, relative to the larger of
+    the fast and oracle values.  The ladder stops at the first rung where
+    every probe's estimate is within _LADDER_TOL (the second, where the
+    first is converged), at the last rung, or once the runtime budget is
+    spent, and reports that rung's values and rule: its lambda rule
+    ("oracle_tau_rule", [panels, nodes per panel], see `_tau_rule`) and
+    time nodes ("oracle_n_inner"), with the rungs run ("oracle_rungs") and
+    whether the ladder converged ("oracle_converged").
     """
     from .evolution import _fast_input, _second_order
 
@@ -895,8 +894,8 @@ def certify_instance(w0, params, t, probes, quad, terms=("gain", "loss_left",
             "fast_report": rep,
             "probes": entries,
             "passed": bool(term_pass),
-            "oracle_rule": [n_lambda, n_inner],
             "oracle_tau_rule": list(_tau_rule(term, params, t, n_lambda)),
+            "oracle_n_inner": n_inner,
             "oracle_rungs": rungs,
             "oracle_converged": converged,
         }

@@ -485,6 +485,7 @@ def run(config):
             _write_json(path, record, files)
             manifest["diagnostics"]["certification"] = {
                 "all_passed": record["all_passed"],
+                "oracle_rungs": {k: e["oracle_rungs"] for k, e in record["terms"].items()},
                 "oracle_converged": {k: e["oracle_converged"] for k, e in record["terms"].items()},
                 "runtime_s": record["runtime_s"],
             }

@@ -287,8 +287,8 @@ def test_run_transform_mode(tmp_path, gauss_spec):
 
 
 def test_run_certify_mode(tmp_path):
-    """A certify run's manifest lists each term's oracle_converged next to
-    all_passed, as certification.json has them."""
+    """A certify run's manifest lists each term's oracle_rungs and
+    oracle_converged next to all_passed, as certification.json has them."""
     text = MINIMAL.format(out=tmp_path) + "mode = certify\ntimes = 0.6\n"
     manifest = run(parse_config(text))
     assert not manifest["failures"]
@@ -298,6 +298,9 @@ def test_run_certify_mode(tmp_path):
     assert summary["oracle_converged"] == {term: entry["oracle_converged"]
                                            for term, entry in record["terms"].items()}
     assert list(summary["oracle_converged"]) == ["gain", "loss_left", "loss_right"]
+    assert summary["oracle_rungs"] == {term: entry["oracle_rungs"]
+                                       for term, entry in record["terms"].items()}
+    assert list(summary["oracle_rungs"]) == ["gain", "loss_left", "loss_right"]
 
 
 def test_run_evolve_g0_shear(tmp_path):

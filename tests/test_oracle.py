@@ -158,16 +158,19 @@ def test_certify_record_structure(gentle_instance):
 
 
 def test_certify_ladder_stops_where_two_rules_agree(gentle_instance):
-    """On the gentle instance every term stops at the second rung, (20, 18),
-    whose values read as those of the oracle's default rule (28, 24)."""
+    """On the gentle instance every term stops at the second rung, which
+    confirms the first, and its values read as those of the oracle's default
+    rule (28, 24).  Each record names the rule it ran: the gain's lambda rule
+    is its n_lambda nodes on one panel, the losses' two panels of 24 nodes."""
     w0, params, t, quad, grid = (gentle_instance[k] for k in
                                  ("w0", "params", "t", "quad", "grid"))
     probes = default_probes(grid)
     record = certify_instance(w0, params, t, probes, quad)
     assert record["all_passed"]
+    n_lambda, n_inner = oracle._RUNGS[1]
     for term, entry in record["terms"].items():
-        assert entry["oracle_rule"] == [20, 18] and entry["oracle_rungs"] == 2, term
-        assert entry["oracle_tau_rule"] == ([1, 20] if term == "gain" else [2, 24]), term
+        assert entry["oracle_n_inner"] == n_inner and entry["oracle_rungs"] == 2, term
+        assert entry["oracle_tau_rule"] == ([1, n_lambda] if term == "gain" else [2, 24]), term
         assert entry["oracle_converged"], term
         assert max(e["oracle_err_est"] for e in entry["probes"]) <= 1e-8, term
         ref, _ = oracle_diagram(term, w0, params, t, probes)
@@ -177,8 +180,9 @@ def test_certify_ladder_stops_where_two_rules_agree(gentle_instance):
 
 def test_certify_ladder_ends_at_the_default_rule(gentle_instance, monkeypatch):
     """With a ladder tolerance that no pair of rules meets, the ladder climbs
-    to (28, 24) and reports its values, with the difference from (20, 18)
-    relative to the larger of the fast and oracle values as the estimate."""
+    to its last rung, oracle_diagram's default rule, and reports its values,
+    with the difference from the second rung relative to the larger of the
+    fast and oracle values as the estimate."""
     w0, params, t, quad, grid = (gentle_instance[k] for k in
                                  ("w0", "params", "t", "quad", "grid"))
     probes = ProbeSet(points=default_probes(grid).points[:4],
@@ -187,15 +191,39 @@ def test_certify_ladder_ends_at_the_default_rule(gentle_instance, monkeypatch):
     record = certify_instance(w0, params, t, probes, quad,
                               terms=("gain", "loss_right"))
     assert list(record["terms"]) == ["gain", "loss_right"]
+    (n_lambda, n_inner), (lo_lambda, lo_inner) = oracle._RUNGS[-1], oracle._RUNGS[1]
     for term, entry in record["terms"].items():
-        assert entry["oracle_rule"] == [28, 24] and entry["oracle_rungs"] == 3, term
+        assert entry["oracle_n_inner"] == n_inner and entry["oracle_rungs"] == 3, term
+        assert entry["oracle_tau_rule"] == ([1, n_lambda] if term == "gain" else [2, 24]), term
         assert not entry["oracle_converged"], term
         hi, _ = oracle_diagram(term, w0, params, t, probes)
-        lo, _ = oracle_diagram(term, w0, params, t, probes, n_lambda=20, n_inner=18)
+        lo, _ = oracle_diagram(term, w0, params, t, probes, n_lambda=lo_lambda,
+                               n_inner=lo_inner)
         for e, h, l in zip(entry["probes"], hi, lo):
             scale = max(abs(complex(*e["fast"])), abs(h), 1e-300)
             assert e["oracle"] == [h.real, h.imag], term
             assert e["oracle_err_est"] == abs(h - l) / scale, term
+
+
+def test_certify_ladder_climbs_where_the_first_rung_is_off(gentle_instance):
+    """At the default ladder tolerance the ladder climbs on its own where the
+    first rung is not converged: on the gentle instance at t = 2 the gain's
+    first two rungs disagree (the first is 6e-7 off), so it climbs to the
+    last rung and stops there converged, within 1e-10 of a (40, 32) reference."""
+    w0, params, quad, grid = (gentle_instance[k] for k in ("w0", "params", "quad", "grid"))
+    t = 2.0
+    probes = default_probes(grid)
+    first, second = (oracle_diagram("gain", w0, params, t, probes, n_lambda=n_lambda,
+                                    n_inner=n_inner)[0]
+                     for n_lambda, n_inner in oracle._RUNGS[:2])
+    assert np.max(np.abs(second - first) / np.abs(second)) > 10 * oracle._LADDER_TOL
+    entry = certify_instance(w0, params, t, probes, quad, terms=("gain",))["terms"]["gain"]
+    n_lambda, n_inner = oracle._RUNGS[-1]
+    assert entry["oracle_rungs"] == len(oracle._RUNGS) and entry["oracle_converged"]
+    assert entry["oracle_tau_rule"] == [1, n_lambda] and entry["oracle_n_inner"] == n_inner
+    ref, _ = oracle_diagram("gain", w0, params, t, probes, n_lambda=40, n_inner=32)
+    orc = np.array([complex(*e["oracle"]) for e in entry["probes"]])
+    assert np.max(np.abs(orc - ref) / np.abs(ref)) <= 1e-10
 
 
 def test_certify_ladder_stops_once_the_budget_is_spent(gentle_instance):
@@ -208,7 +236,9 @@ def test_certify_ladder_stops_once_the_budget_is_spent(gentle_instance):
     record = certify_instance(w0, params, t, probes, quad, terms=("gain",),
                               budget_s=1e-9)
     entry = record["terms"]["gain"]
-    assert entry["oracle_rule"] == list(oracle._RUNGS[0]) and entry["oracle_rungs"] == 1
+    n_lambda, n_inner = oracle._RUNGS[0]
+    assert entry["oracle_tau_rule"] == [1, n_lambda] and entry["oracle_n_inner"] == n_inner
+    assert entry["oracle_rungs"] == 1
     assert not entry["oracle_converged"]
     assert all(np.isnan(e["oracle_err_est"]) for e in entry["probes"])
 
@@ -339,7 +369,8 @@ def test_light_bath_k_rule_is_converged(gentle_instance, m_e):
     for term in ("gain", "loss_left", "loss_right"):
         assert _k_rule_move(term, w0, params, t, probes, oracle._RUNGS[1]) <= 1e-12, term
     entry = certify_instance(w0, params, t, probes, quad, terms=("gain",))["terms"]["gain"]
-    assert entry["oracle_rule"] == [20, 18] and entry["oracle_converged"]
+    assert entry["oracle_rungs"] == 2 and entry["oracle_converged"]
+    assert entry["oracle_n_inner"] == oracle._RUNGS[1][1]
 
 
 @pytest.mark.parametrize("instance", ("gentle", "gentle_warm", "warm_cat"))
@@ -457,7 +488,7 @@ def test_oracle_chunk_budget_does_not_change_the_values(gentle_instance, monkeyp
     """A 64 KiB chunk budget, which cuts both the probe batches of the
     eta-quadratics and the spectral sums into more chunks, gives every
     default probe of the gentle instance within 1e-14 relative of the
-    8 MiB values at rung (20, 18)."""
+    8 MiB values at the rule (20, 18)."""
     w0, params, t, grid = (gentle_instance[k] for k in ("w0", "params", "t", "grid"))
     probes = default_probes(grid)
     chunks = []
