@@ -55,12 +55,11 @@ b(q) = -(q.k/m + k^2/2m - w_k), and B = B(q+) with
 B(q) = q.k/m - k^2/2m - w_k.  p lies on the lattice dp and u_j/2 on dp/R
 (the closed modes align their period to make it so, and the grid modes pad
 to a whole multiple of n nodes), so per k chunk the kernels are tabulated
-from plain expm1 on the N_q ~ M + R N_p lattice momenta (d = 1), not
-2 M N_p, and gathered (`_q_lattice`): the gain's I = E0(b(q+))
-conj(E0(b(q-))), as E0(-b) = conj(E0(b)), on only the lattice rows that
-its chunk's live p rows reach (below); a loss's F on every row, summed
-over k first, in chunks sized by those (N_q, K) tables alone.  The
-projection onto x runs once per term.
+from plain expm1 on lattice momenta, not on 2 M N_p points, and gathered:
+the gain's I = E0(b(q+)) conj(E0(b(q-))), as E0(-b) = conj(E0(b)), and a
+loss's F(B(q+)).  The lattice row of q+- is p_rows[p] +- u_rows[j], linear
+in the lattice point (`_q_lattice`), so a chunk forms the rows of its own
+p rows only.  The projection onto x runs once per term.
 
 Rank of the coefficients.  The mode rep holds c = a b only as rank-R
 factors, a (M, R) and b (R, L), which each builder finds once
@@ -70,15 +69,18 @@ G_r(p + k) = sum_l b_rl e^{i s_l.(p+k)} to the momentum box and sums
 I G ww over k as one matmul per p, (M, K) @ (K, R); a contracts the
 (N_p, M, R) sum once at the end.  A loss takes gq(p) as a (b e^{is.p}).
 
-Live pairs.  The mask makes most of the gain's (p, k) pairs dead: p + k
-leaves the q box once |k| exceeds the box's reach from p (at n_x = 128,
-lambda = 50, 8.9 % of the output grid's pairs are live).  A dead pair adds
-an exact zero to the k sum, so each chunk holds only the k nodes that
-reach some p, the p rows that some of them reach, and the lattice rows
-those rows reach (`_live_chunks`): the tables, G, both gathers and the
-matmul run on that sub-block, and dropping the rest moves only the order
-of summation.  A chunk is sized by the bytes of its sub-block, and cut
-where its live band has shifted off most of its rows.
+Live pairs.  A term reads gq at p + kick k, kick = 1 for the gain and 0
+for a loss, and gq is masked to the q box, so a pair (p, k) is live only
+when p + kick k lies in the box: the gain's pairs die once |k| exceeds the
+box's reach from p (at n_x = 128, lambda = 50, 8.9 % of the output grid's
+pairs are live), a loss's on the p rows outside the box.  A dead pair adds
+an exact zero to the k sum, so both terms run one chunk loop
+(`_live_chunks`): a chunk holds only the k nodes that reach some p, the p
+rows that some of them reach, and the q rows those rows reach (q+ and q-
+for the gain, q+ for a loss); the tables, the gathers and the sums run on
+that sub-block, and dropping the rest moves only the order of summation.
+A chunk is sized by the bytes of its sub-block, and cut where its live
+band has shifted off most of its rows.
 
 loss_right is the complex conjugate of loss_left (B~ = -B once u_j -> -u_j,
 and the coefficients of a real W0 satisfy c_{-j,-l} = conj(c_{jl})), so the
@@ -262,10 +264,11 @@ class QuadratureSpec:
     panel; a term converged when its error estimate is within rel_tol.
     n_k <= 64, as the tests use 16-48 and criterion 7 doubles the default 24.
     The k range is the model's UV cutoff, params.lambda_uv: the k integral
-    is the bath's spectral sum.  There is no time quadrature
-    to control: the fast path integrates time analytically and reports it
-    as exact, and the certification oracle sizes its time quadrature with
-    its own n_lambda and n_inner.
+    is the bath's spectral sum.  There is no time quadrature to control:
+    the fast path integrates time analytically and reports it as exact.
+    The certification oracle sizes its own time rules: the losses' tau rule
+    from lambda_uv t (`oracle._tau_rule`), the gain's from n_lambda, and
+    every term's inner time rule from n_inner.
     """
 
     n_k: int = 24
@@ -459,21 +462,21 @@ def _in_q_box(modes, q):
 
 
 def _q_lattice(modes, P, dp):
-    """The lattice box (N_q, d) spanned by q+- = p +- u_j/2, any d, and the
-    rows of q+ and of q- for each (j, p), (M, N_p) each: p is a multiple of
-    dp and u_j/2 of dp/R per axis (R = 1 for grid modes)."""
+    """The lattice box (N_q, d) spanned by q+- = p +- u_j/2, any d, and its
+    flat rows: q+- of (j, p) is row p_rows[p] +- u_rows[j], (N_p,) and (M,).
+    p is a multiple of dp and u_j/2 of dp/R per axis (R = 1 for grid modes)."""
     half = 0.5 * modes.u
     step = np.min(np.abs(half), axis=0, where=half != 0.0, initial=dp)
     ratio = np.maximum(1.0, np.rint(dp / step))              # R per axis
     uj = half * (ratio / dp)
     if np.any(np.abs(uj - np.rint(uj)) > 1e-9):
         raise ValueError("mode frequencies are off the grid's momentum lattice")
-    pj, uj = np.rint(P * (ratio / dp)), np.rint(uj)[:, None]
-    lattice = np.stack([pj + uj, pj - uj]).astype(np.int64)  # (2, M, Np, d)
-    lo, hi = lattice.min(axis=(0, 1, 2)), lattice.max(axis=(0, 1, 2))
-    rows = np.ravel_multi_index(np.moveaxis(lattice - lo, -1, 0), hi - lo + 1)
+    pj, uj = (np.rint(v).astype(np.int64) for v in (P * (ratio / dp), uj))
+    reach = np.abs(uj).max(axis=0)
+    lo, hi = pj.min(axis=0) - reach, pj.max(axis=0) + reach
+    strides = np.append(np.cumprod((hi - lo + 1)[:0:-1])[::-1], 1)   # C order
     q = _tensor_points([np.arange(a, b + 1) * (dp / r) for a, b, r in zip(lo, hi, ratio)])
-    return q, rows[0], rows[1]
+    return q, (pj - lo) @ strides, uj @ strides
 
 
 def _rank_factors(a, b):
@@ -489,16 +492,18 @@ def _rank_factors(a, b):
     return (qa @ uc[:, :rank]) * sv[:rank], vh[:rank] @ qb.T
 
 
-def _live_chunks(modes, P, k, pair_bytes, node_bytes):
-    """The gain's k chunks, cut to the (p, k) pairs that its mask keeps:
-    gq(p + k) is zero unless p + k lies in the q box (`_in_q_box`).  Yields
-    per chunk the k nodes that reach some p, the p rows that some of them
-    reach and the (rows, nodes) mask.  A chunk is the longest run of such
-    nodes whose sub-block, nodes max(rows pair_bytes, node_bytes) bytes,
-    fits the budget (`chunk_len`) and whose rows stay within twice its
-    widest node's live rows: a band that shifts with k would fill a wide
-    chunk with zeros.  A node that reaches no p is in no chunk.  Any d: the
-    mask is tested on the flat rows of P."""
+def _live_chunks(modes, P, k, kick, pair_bytes, node_bytes):
+    """A term's k chunks, cut to the (p, k) pairs that its mask keeps: the
+    term reads gq(p + kick k), zero unless p + kick k lies in the q box
+    (`_in_q_box`); kick = 1 for the gain, 0 for a loss, whose live rows are
+    its in-box p rows at every node.  Yields per chunk the k nodes that
+    reach some p, the p rows that some of them reach and the (rows, nodes)
+    mask.  A chunk is the longest run of such nodes whose sub-block, nodes
+    max(rows pair_bytes, node_bytes) bytes, fits the budget (`chunk_len`)
+    and whose rows stay within twice its widest node's live rows: a band
+    that shifts with k would fill a wide chunk with zeros.  A node that
+    reaches no p is in no chunk.  Any d: the mask is tested on the flat
+    rows of P."""
     budget = chunk_len(1)                                # in bytes
 
     def fits(nodes, rows, widest):
@@ -507,7 +512,7 @@ def _live_chunks(modes, P, k, pair_bytes, node_bytes):
 
     scan = chunk_len(max(pair_bytes, node_bytes))        # widest chunk: one row
     for k0 in range(0, k.shape[0], scan):
-        live = _in_q_box(modes, P[None, :, :] + k[k0:k0 + scan, None, :])  # (B, Np)
+        live = _in_q_box(modes, P[None, :, :] + kick * k[k0:k0 + scan, None, :])  # (B, Np)
         count = live.sum(axis=1)                         # live rows per node
         nodes = np.flatnonzero(count)
         live, count = live[nodes], count[nodes]
@@ -528,71 +533,66 @@ def _diagram_core(term, modes, X, P, dp, params, t, k, wk):
     the lattice dp, by the k nodes of `_k_nodes` under each column of the
     weights wk (K, C), coupling factored out; a (C, N_x, N_p) array.
 
-    Every (p, k) column enters the (M, N_p) sum from the q-lattice tables
-    on the full time window (module docstring), the gain's through the
-    modes' rank-R factors a and b as an (N_p, M, R C) sum over its live
-    pairs only (`_live_chunks`).  The sum runs over every chunk and branch
-    and is projected onto x once; the mode period is wrap-free, so no
-    window clips.
+    Both terms run one chunk loop over their live pairs (`_live_chunks`),
+    on the full-window tables of the q rows each chunk reaches (module
+    docstring): the gain through the modes' rank-R factors a and b as an
+    (N_p, M, R C) sum, a loss as a (C, M, N_p) one.  The sum is projected
+    onto x once; the mode period is wrap-free, so no window clips.
     """
     d = params.d
     m = params.m_s
     npts = P.shape[0]
     M, L = modes.u.shape[0], modes.s.shape[0]
     ncol = wk.shape[1]
+    gain = term == "gain"
 
     omega = np.sqrt(np.sum(k**2, axis=-1) + params.m_e**2)
     branches = _thermal_branches(omega, params)
-    qv, iqp, iqm = _q_lattice(modes, P, dp)
+    qv, p_rows, u_rows = _q_lattice(modes, P, dp)
     n_q = qv.shape[0]
 
     ux_phase = np.exp(1j * (modes.u @ X.T))                  # (M, Nx)
     up_phase = np.exp(-1j * (modes.u @ P.T) * (t / m))       # (M, Np)
     sp_phase = np.exp(1j * (modes.s @ P.T))                  # (L, Np)
 
-    if term == "gain":
+    if gain:
         # gq = a G with G = b e^{is.(p+k)}: acc[p, j, (r, c)] sums I G ww
-        # over k, and a contracts it once at the end.  A dead pair (p + k
-        # outside the q box) adds an exact zero, so a chunk holds only the
-        # nodes and rows of live pairs, and the tables only the q rows
-        # that its rows reach.  Bytes per (p, k) pair of a chunk: the (M,)
-        # I and its second gather, (R,) G, (R, C) G ww and its copy; per
-        # node: the (N_q,) tables
+        # over k, and a contracts it once at the end.  Bytes per (p, k)
+        # pair of a chunk: the (M,) I and its second gather, (R,) G, (R, C)
+        # G ww and its copy
         rank = modes.b.shape[0]
         bs_phase = modes.b[:, None, :] * sp_phase.T[None]    # (R, Np, L)
         acc = np.zeros((npts, M, rank * ncol), dtype=complex)
         weight = up_phase
-        chunks = _live_chunks(modes, P, k, 16 * (2 * M + rank * (1 + 2 * ncol)), 96 * n_q)
+        pair_bytes = 16 * (2 * M + rank * (1 + 2 * ncol))
     else:
-        # a loss builds only (N_q, K) tables and an (N_q, C) sum: six
-        # (N_q,) arrays per k node
         acc = np.zeros((ncol, M, npts), dtype=complex)
-        weight = up_phase * (modes.a @ (modes.b @ sp_phase)) * _in_q_box(modes, P)[None, :]
-        step = chunk_len(96 * n_q)
-        chunks = ((slice(k0, k0 + step), slice(None), None)
-                  for k0 in range(0, k.shape[0], step))
+        weight = up_phase * (modes.a @ (modes.b @ sp_phase))
+        pair_bytes = 0
 
-    for nodes, rows, live in chunks:
+    # kick 1 for gq(p + k), 0 for gq(p); bytes per k node: six (N_q,) tables
+    for nodes, rows, live in _live_chunks(modes, P, k, int(gain), pair_bytes, 96 * n_q):
         kc, wc, om = k[nodes], wk[nodes], omega[nodes]
         kk2 = np.sum(kc**2, axis=-1) / (2.0 * m)
         meas = wc / ((2.0 * np.pi) ** d * 2.0 * om)[:, None]
-
-        if term == "gain":
-            qp, qm = iqp[:, rows], iqm[:, rows]
-            reached = np.zeros(n_q, dtype=bool)
-            reached[qp] = reached[qm] = True
-            renum = np.cumsum(reached) - 1
+        # the q rows that its rows reach, renumbered: q+, and q- for the gain
+        qp = p_rows[rows] + u_rows[:, None]                  # (M, Np')
+        qm = p_rows[rows] - u_rows[:, None] if gain else qp
+        reached = np.zeros(n_q, dtype=bool)
+        reached[qp] = reached[qm] = True
+        renum = np.cumsum(reached) - 1
+        qk = (qv[reached] @ kc.T) / m                        # (Nq', K')
+        if gain:
             ip, im = renum[qp.T], renum[qm.T]                # (Np', M)
-            qk = (qv[reached] @ kc.T) / m                    # (Nq', K')
             sk_phase = np.exp(1j * (modes.s @ kc.T))         # (L, K')
             g_tab = (bs_phase[:, rows].reshape(-1, L) @ sk_phase).reshape(rank, *live.shape)
             g_tab *= live
         else:
-            qk = (qv @ kc.T) / m                             # (Nq, K)
+            ip = renum[qp]                                   # (M, Np')
 
         for sgn, wgt_full in branches:
             ww = meas * wgt_full[nodes, None]                # (K, C)
-            if term == "gain":
+            if gain:
                 b = sgn * om[None, :] - qk - kk2[None, :]     # b1(q); b2(q-) = -b(q-)
                 e1 = _e0(b, t)
                 i_full = e1[ip]                               # (Np', M, K')
@@ -601,9 +601,9 @@ def _diagram_core(term, modes, X, P, dp, params, t, k, wk):
                 acc[rows] += i_full @ g_ww.reshape(len(rows), len(kc), rank * ncol)
             else:
                 b = qk - kk2[None, :] - sgn * om[None, :]     # B(q)
-                acc += (_f(b, t) @ ww).T[:, iqp]
+                acc[..., rows] += (_f(b, t) @ ww).T[:, ip]
 
-    if term == "gain":
+    if gain:
         acc = np.einsum("pjrc,jr->cjp", acc.reshape(npts, M, rank, ncol), modes.a)
     return ux_phase.T @ (weight * acc)
 

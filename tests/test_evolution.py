@@ -1,4 +1,8 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -316,7 +320,8 @@ def test_closed_period_aligned_to_the_momentum_lattice(cat_spec, gauss_spec, n_x
                 assert val == pytest.approx(
                     float(wigner_closed(spec, np.array(X), np.array(Q))), abs=1e-12)
             P = grid.p_nodes[:, None]
-            q, iqp, iqm = _q_lattice(aligned, P, grid.dp)
+            q, p_rows, u_rows = _q_lattice(aligned, P, grid.dp)
+            iqp, iqm = p_rows[None] + u_rows[:, None], p_rows[None] - u_rows[:, None]
             assert np.allclose(q[iqp], P[None] + 0.5 * aligned.u[:, None], rtol=0, atol=1e-12)
             assert np.allclose(q[iqm], P[None] - 0.5 * aligned.u[:, None], rtol=0, atol=1e-12)
             assert len(q) < iqp.size
@@ -325,6 +330,48 @@ def test_closed_period_aligned_to_the_momentum_lattice(cat_spec, gauss_spec, n_x
     off = dataclasses.replace(aligned, u=aligned.u * np.sqrt(2.0))
     with pytest.raises(ValueError, match="momentum lattice"):
         _q_lattice(off, grid.p_nodes[:, None], grid.dp)
+
+
+_Q_LATTICE_D3 = """
+import json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+import numpy as np
+from wignerbath import InitialStateSpec, ModelParams, make_initial_wigner
+from wignerbath.states import balanced_grid
+from wignerbath.evolution import build_modes, _q_lattice, _tensor_points
+spec = InitialStateSpec(kind="gaussian", x0=(0.0,) * 3, p0=(0.0,) * 3, sigma=1.0)
+grid = balanced_grid(spec, 8)
+w0 = make_initial_wigner(spec, grid, boundary_tol=5e-2)
+modes = build_modes(w0, ModelParams(d=3, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=3.0), 0.3)
+P = _tensor_points([grid.p_nodes] * 3)
+start = time.perf_counter()
+q, p_rows, u_rows = _q_lattice(modes, P, grid.dp)
+seconds = time.perf_counter() - start
+rng = np.random.default_rng(5)
+j, p = rng.integers(len(u_rows), size=300), rng.integers(len(p_rows), size=300)
+err = max(float(np.max(np.abs(q[p_rows[p] + sgn * u_rows[j]] - (P[p] + 0.5 * sgn * modes.u[j]))))
+          for sgn in (1, -1))
+json.dump({"M": len(modes.u), "N_p": len(P), "p_rows": p_rows.shape, "u_rows": u_rows.shape,
+           "err": err, "seconds": seconds}, sys.stdout)
+"""
+
+
+def test_q_lattice_rows_in_d3_under_an_address_space_cap():
+    """The smallest d = 3 instance (Gaussian, n_x = 8, lambda = 3, t = 0.3)
+    has M = 571 787 modes; its lattice rows are an (N_p,) and an (M,) array,
+    and q at p_rows[p] +- u_rows[j] is p +- u_j/2 on random (j, p), so the
+    flat strides hold in d = 3.  A child process caps its own address space
+    at 2 GiB and forms them in < 1 s."""
+    src = os.path.dirname(os.path.dirname(evolution.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", _Q_LATTICE_D3], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout)
+    assert got["M"] == 571_787
+    assert got["p_rows"] == [got["N_p"]] and got["u_rows"] == [got["M"]]
+    assert got["err"] <= 1e-12
+    assert got["seconds"] < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -800,15 +847,18 @@ def test_error_estimate_tracks_the_error_on_an_even_half_run(gauss_spec, monkeyp
         assert change <= rep["err_est"], term
 
 
+@pytest.mark.parametrize("budget", (1 << 16, 1 << 17, 1 << 25),
+                         ids=("64KiB", "128KiB", "32MiB"))
 @pytest.mark.parametrize("term", ("gain", "loss_left"))
-def test_chunk_budget_does_not_change_the_terms(gauss_spec, monkeypatch, term):
-    """A budget small enough for a few k nodes per chunk gives the
-    default-budget term within 1e-14 relative on the grid backend (thermal
-    bath: both branches), with every live k node in one kernel table per
-    branch, no dead node in any, and no table wider than an eighth of the k
-    rule; so does the term's phase-space trace, whose own call is chunked
-    by the same budget.  A gain node is live when some p + k lies in the q
-    box (its mask); a loss has no k mask, so every node is live."""
+def test_chunk_budget_does_not_change_the_terms(gauss_spec, monkeypatch, term, budget):
+    """A budget from 1/128 to 4 times the default gives the default-budget
+    term within 1e-14 relative on the grid backend (thermal bath: both
+    branches), with every live k node in one kernel table per branch, in
+    order, and no dead node in any; at 1/128 no table is wider than an
+    eighth of the k rule.  So does the term's phase-space trace, whose own
+    call is chunked by the same budget.  A gain node is live when some
+    p + k lies in the q box (its mask); a loss reads gq(p), so every node
+    is live and each of its chunks holds exactly the in-box p rows."""
     grid = balanced_grid(gauss_spec, 16)
     w0 = _input(make_initial_wigner(gauss_spec, grid, boundary_tol=1e-4), "grid")
     params = ModelParams(d=1, m_s=1.0, m_e=1.0, g=0.1, lambda_uv=8.0, t_env=0.7)
@@ -817,7 +867,6 @@ def test_chunk_budget_does_not_change_the_terms(gauss_spec, monkeypatch, term):
     modes = build_modes(w0, params, t)
     ref = _core_on_grid(term, modes, grid, params, t, quad)
     ref_trace = _second_order(w0, params, t, quad)[term][1]["trace"]
-    budget = 1 << 16
     widths = []
     name = "_e0" if term == "gain" else "_f"
     kernel = getattr(evolution, name)
@@ -831,7 +880,7 @@ def test_chunk_budget_does_not_change_the_terms(gauss_spec, monkeypatch, term):
 
     def recorded(*args):
         for chunk in live_chunks(*args):
-            chunked.append(chunk[0])
+            chunked.append(chunk)
             yield chunk
 
     monkeypatch.setattr(propagators, "_CHUNK_BYTES", budget)
@@ -841,13 +890,19 @@ def test_chunk_budget_does_not_change_the_terms(gauss_spec, monkeypatch, term):
         got = _core_on_grid(term, modes, grid, params, t, quad)
     k = evolution._k_nodes(params, quad, t, modes.u_max,
                            float(np.max(np.abs(grid.p_nodes))))[0]
-    live = np.ones(k.shape[0], dtype=bool)
     if term == "gain":
         live = evolution._in_q_box(modes, grid.p_nodes[:, None, None] + k[None]).any(axis=0)
-        assert np.array_equal(np.concatenate(chunked), np.flatnonzero(live))
         assert not live.all()
+    else:
+        live = np.ones(k.shape[0], dtype=bool)
+        in_box = np.flatnonzero(evolution._in_q_box(modes, grid.p_nodes[:, None]))
+        assert in_box.size
+        for _, rows, mask in chunked:
+            assert np.array_equal(rows, in_box) and mask.all()
+    assert np.array_equal(np.concatenate([chunk[0] for chunk in chunked]), np.flatnonzero(live))
     assert sum(widths) == 2 * live.sum()
-    assert 8 * max(widths) <= k.shape[0]
+    if budget == 1 << 16:
+        assert 8 * max(widths) <= k.shape[0]
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
     got_trace = _second_order(w0, params, t, quad)[term][1]["trace"]
     assert abs(got_trace - ref_trace) <= 1e-14 * abs(ref_trace)
